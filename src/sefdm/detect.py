@@ -1,23 +1,37 @@
 """Receivers: per-branch OFDM demodulation, the iterative stripe decoder,
 and an exhaustive maximum-likelihood oracle.
 
+Both decoders work in the matched-filter domain. A received block r of M
+samples enters them only through its N carrier correlations y = r C^H / M,
+where C is the N x M carrier matrix, and through the N x N Gram matrix
+G = C C^H / M, cached per configuration. Since
+||r - s C||^2 = M (s G s^H - 2 Re(y . conj(s))) + ||r||^2, y is a sufficient
+statistic for s, and no decoder touches the M samples after computing it.
+
 The stripe decoder treats the SEFDM signal as c interleaved OFDM systems.
-Each sweep cancels the re-modulated estimate of the other c-1 systems,
-demodulates the remaining one, truncates the soft estimates to the
-constellation bounding box, then anneals the whole estimate vector toward the
-constellation with an inverse-square-distance "gravity" pull whose weight
-ramps linearly from 1/J to 1 over the J sweeps. The final vector is sliced to
-hard symbols.
+Branch k carries the carrier group K = {k, k + c, k + 2c, ...}, whose carriers
+sit on distinct integer DFT bins, so G[K, K] = I. Cancelling the estimates of
+the other c-1 branches from r and demodulating branch k is then
+s_K <- y_K - sum over n not in K of s_n G[n, K]: one sweep is a block
+Gauss-Seidel pass over the c groups. Each update is truncated to the
+constellation bounding box; after every sweep the whole estimate vector is
+annealed toward the constellation with an inverse-square-distance "gravity"
+pull whose weight ramps linearly from 1/J to 1 over the J sweeps. The final
+vector is sliced to hard symbols.
+
+The ML decoder minimises s G s^H - 2 Re(y . conj(s)) over every candidate
+symbol vector, in chunks whose working memory is bounded.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
-from .core import Alphabet, CapacityError, DimensionError, SefdmConfig
+from .core import Alphabet, CapacityError, DimensionError, DomainError, SefdmConfig
 from .txmod import (
     SubsystemSymbols,
     _branch_layout,
@@ -34,8 +48,9 @@ _EXACT_HIT_SQ = 1e-24
 # Enumeration guard for the exhaustive decoder.
 _ML_GUARD = 2**20
 
-# Candidate signal tables are cached only below this entry count.
-_ML_CACHE_LIMIT = 2**23
+# Working memory of one ML chunk, in bytes: the B x chunk float64 metric block
+# plus the chunk's table of 2N weights and one energy per candidate.
+_ML_CHUNK_BYTES = 2**25
 
 
 @dataclass(frozen=True)
@@ -117,81 +132,83 @@ def slice_symbols(est, alphabet: Alphabet):
     return complex(out) if np.isscalar(est) or e.ndim == 0 else out
 
 
-def stripe_decode_soft(r, cfg: SefdmConfig, params: StripeParams = StripeParams()) -> np.ndarray:
-    """Pre-slice soft symbol estimates after J stripe sweeps (diagnostics)."""
-    return _stripe_batch(np.atleast_2d(np.asarray(r, complex)), cfg, params)[0]
+class _MatchedFilter(NamedTuple):
+    """Receiver front end of one configuration; see the module docstring."""
+
+    matched: np.ndarray  # (M, N) C^H / M, so that y = r @ matched
+    gram: np.ndarray  # (N, N) G = C C^H / M
+    # Per branch: its carriers K and G[:, K] with the rows of K zeroed, so that
+    # y_K - s @ others cancels every other branch.
+    groups: tuple[tuple[np.ndarray, np.ndarray], ...]
 
 
-def stripe_decode(r, cfg: SefdmConfig, params: StripeParams = StripeParams()) -> np.ndarray:
-    """Iterative interference-cancelling decoder; returns hard symbols.
+@lru_cache(maxsize=64)
+def _matched_filter(cfg: SefdmConfig) -> _MatchedFilter:
+    matrix = carrier_matrix(cfg)
+    matched = np.ascontiguousarray(matrix.conj().T) / cfg.n_samples
+    gram = matrix @ matched
+    groups = []
+    for k in range(cfg.alpha_den):
+        _, carriers = _branch_layout(k, cfg)
+        others = gram[:, carriers]
+        others[carriers] = 0
+        groups.append((carriers, others))
+    return _MatchedFilter(matched, gram, tuple(groups))
 
-    Accepts a length-M vector or a (..., M) batch.
+
+def _matched_outputs(r, cfg: SefdmConfig) -> tuple[np.ndarray, tuple[int, ...]]:
+    """(B, N) matched-filter outputs of a length-M vector or (..., M) batch,
+    and the batch shape.
+
+    Received samples enter both decoders here; wrong lengths and non-finite
+    samples are rejected.
     """
     r = np.asarray(r, dtype=complex)
     _, m_samp, _, _, _ = _dims(cfg)
     if r.shape[-1] != m_samp:
         raise DimensionError(f"expected {m_samp} samples, got {r.shape[-1]}")
-    soft = _stripe_batch(r.reshape(-1, m_samp), cfg, params)
-    hard = slice_symbols(soft, cfg.alphabet)
-    return hard.reshape(r.shape[:-1] + (cfg.n_carriers,))
+    if not np.isfinite(r).all():
+        raise DomainError("received samples must be finite")
+    return r.reshape(-1, m_samp) @ _matched_filter(cfg).matched, r.shape[:-1]
 
 
-def _stripe_batch(r: np.ndarray, cfg: SefdmConfig, params: StripeParams) -> np.ndarray:
-    """Run J sweeps over a (B, M) batch; returns (B, N) soft estimates."""
-    n_car, m_samp, _, c, _ = _dims(cfg)
-    if r.shape[-1] != m_samp:
-        raise DimensionError(f"expected {m_samp} samples, got {r.shape[-1]}")
-    n_blocks = r.shape[0]
+def stripe_decode_soft(r, cfg: SefdmConfig, params: StripeParams = StripeParams()) -> np.ndarray:
+    """Pre-slice soft symbol estimates after J stripe sweeps (diagnostics).
+
+    Accepts a length-M vector or a (..., M) batch; returns (..., N).
+    """
+    y, batch = _matched_outputs(r, cfg)
+    return _stripe_batch(y, cfg, params).reshape(batch + (cfg.n_carriers,))
+
+
+def stripe_decode(r, cfg: SefdmConfig, params: StripeParams = StripeParams()) -> np.ndarray:
+    """Iterative interference-cancelling decoder; returns hard symbols.
+
+    Accepts a length-M vector or a (..., M) batch; returns (..., N).
+    """
+    return slice_symbols(stripe_decode_soft(r, cfg, params), cfg.alphabet)
+
+
+def _stripe_batch(y: np.ndarray, cfg: SefdmConfig, params: StripeParams) -> np.ndarray:
+    """Run J sweeps over a (B, N) batch of matched-filter outputs; returns
+    (B, N) soft estimates."""
     total_iter = params.iterations
-
-    layouts = [_branch_layout(k, cfg) for k in range(c)]
-    rots = [rotation_vector(k, cfg) for k in range(c)]
+    groups = _matched_filter(cfg).groups
+    y_groups = [y[:, carriers] for carriers, _ in groups]
     re_lo, re_hi, im_lo, im_hi = cfg.alphabet.bounding_box
 
-    s_hat = np.zeros((n_blocks, n_car), dtype=complex)
-    branch = [np.zeros((n_blocks, m_samp), dtype=complex) for _ in range(c)]
-    total = np.zeros((n_blocks, m_samp), dtype=complex)
-
-    def remodulate(k: int) -> np.ndarray:
-        bins, syms = layouts[k]
-        spectrum = np.zeros((n_blocks, m_samp), dtype=complex)
-        spectrum[:, bins] = s_hat[:, syms]
-        return np.fft.ifft(spectrum, axis=1) * m_samp * rots[k]
-
+    s_hat = np.zeros_like(y)
     for j in range(1, total_iter + 1):
-        for k in range(c):
-            bins, syms = layouts[k]
-            resid = r - (total - branch[k])
-            spectrum = np.fft.fft(resid * np.conj(rots[k]), axis=1) / m_samp
-            est = spectrum[:, bins]
-            est = np.clip(est.real, re_lo, re_hi) + 1j * np.clip(est.imag, im_lo, im_hi)
-            s_hat[:, syms] = est
-            # The updated branch is visible to the remaining k within this sweep.
-            new_branch = remodulate(k)
-            total += new_branch - branch[k]
-            branch[k] = new_branch
+        # The updated branch is visible to the remaining k within this sweep.
+        for (carriers, others), y_k in zip(groups, y_groups):
+            est = y_k - s_hat @ others
+            s_hat[:, carriers] = np.clip(est.real, re_lo, re_hi) + 1j * np.clip(
+                est.imag, im_lo, im_hi
+            )
         s_hat = s_hat * (total_iter - j) / total_iter + (j / total_iter) * gravity(
             s_hat, cfg.alphabet
         )
-        if j < total_iter:
-            for k in range(c):
-                new_branch = remodulate(k)
-                total += new_branch - branch[k]
-                branch[k] = new_branch
     return s_hat
-
-
-@lru_cache(maxsize=8)
-def _ml_table(cfg: SefdmConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(candidate symbols (K, N), candidate signals (K, M), signal energies)."""
-    points = cfg.alphabet.points_array()
-    n_car = cfg.n_carriers
-    size = len(points)
-    count = size**n_car
-    digits = (np.arange(count)[:, None] // size ** np.arange(n_car - 1, -1, -1)) % size
-    candidates = points[digits]
-    signals = candidates @ carrier_matrix(cfg)
-    return candidates, signals, np.sum(np.abs(signals) ** 2, axis=1)
 
 
 def ml_capacity(cfg: SefdmConfig) -> int:
@@ -207,6 +224,40 @@ def check_ml_guard(cfg: SefdmConfig) -> None:
         )
 
 
+def _ml_chunk(blocks: int, n_car: int) -> int:
+    """Candidates per chunk that keep one chunk within _ML_CHUNK_BYTES."""
+    return max(1, _ML_CHUNK_BYTES // (8 * (blocks + 2 * n_car + 1)))
+
+
+def _ml_symbols(cfg: SefdmConfig, index: np.ndarray) -> np.ndarray:
+    """Candidate symbol vectors at the given odometer positions over the
+    constellation indices, first carrier most significant."""
+    points = cfg.alphabet.points_array()
+    size = len(points)
+    powers = size ** np.arange(cfg.n_carriers - 1, -1, -1)
+    return points[(index[:, None] // powers) % size]
+
+
+def _ml_weights(cfg: SefdmConfig, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """(2N, K) weights and (K,) energies of candidates start..stop-1.
+
+    With x = [Re y, Im y], x @ weights = 2 Re(y . conj(s)) and the energies
+    are s G s^H, each computed by a fixed-order sum so that a candidate's
+    metric does not depend on the chunk it falls in.
+    """
+    candidates = _ml_symbols(cfg, np.arange(start, stop))
+    gram = _matched_filter(cfg).gram
+    energies = np.einsum("kn,nm,km->k", candidates, gram, candidates.conj()).real
+    weights = 2 * np.concatenate([candidates.real, candidates.imag], axis=1).T
+    return np.ascontiguousarray(weights), energies
+
+
+@lru_cache(maxsize=8)
+def _ml_table(cfg: SefdmConfig) -> tuple[np.ndarray, np.ndarray]:
+    """_ml_weights over every candidate, for configurations enumerated in one chunk."""
+    return _ml_weights(cfg, 0, ml_capacity(cfg))
+
+
 def ml_decode(r, cfg: SefdmConfig) -> np.ndarray:
     """Exhaustive minimum-distance decoding over every candidate symbol vector.
 
@@ -215,41 +266,27 @@ def ml_decode(r, cfg: SefdmConfig) -> np.ndarray:
     length-M vector or a (..., M) batch.
     """
     check_ml_guard(cfg)
-    r = np.asarray(r, dtype=complex)
-    _, m_samp, _, _, _ = _dims(cfg)
-    if r.shape[-1] != m_samp:
-        raise DimensionError(f"expected {m_samp} samples, got {r.shape[-1]}")
-    flat = r.reshape(-1, m_samp)
-
+    y, batch = _matched_outputs(r, cfg)
+    x = np.concatenate([y.real, y.imag], axis=1)
     count = ml_capacity(cfg)
-    if count * m_samp <= _ML_CACHE_LIMIT:
-        candidates, signals, energies = _ml_table(cfg)
-        # ||r - x||^2 up to the common ||r||^2 term.
-        metric = energies[None, :] - 2 * np.real(flat @ signals.conj().T)
-        best = candidates[metric.argmin(axis=1)]
-    else:
-        best = _ml_chunked(flat, cfg, count)
-    return best.reshape(r.shape[:-1] + (cfg.n_carriers,))
-
-
-def _ml_chunked(flat: np.ndarray, cfg: SefdmConfig, count: int) -> np.ndarray:
-    points = cfg.alphabet.points_array()
-    size = len(points)
-    n_car = cfg.n_carriers
-    matrix = carrier_matrix(cfg)
-    powers = size ** np.arange(n_car - 1, -1, -1)
-    chunk = max(1, _ML_CACHE_LIMIT // cfg.n_samples)
-    best_metric = np.full(flat.shape[0], np.inf)
-    best_index = np.zeros(flat.shape[0], dtype=np.int64)
+    chunk = _ml_chunk(len(y), cfg.n_carriers)
+    best_metric = np.full(len(y), np.inf)
+    best_index = np.zeros(len(y), dtype=np.int64)
     for start in range(0, count, chunk):
-        idx = np.arange(start, min(start + chunk, count))
-        candidates = points[(idx[:, None] // powers) % size]
-        signals = candidates @ matrix
-        energies = np.sum(np.abs(signals) ** 2, axis=1)
-        metric = energies[None, :] - 2 * np.real(flat @ signals.conj().T)
-        arg = metric.argmin(axis=1)
-        val = metric[np.arange(flat.shape[0]), arg]
+        stop = min(start + chunk, count)
+        table = _ml_table(cfg) if chunk >= count else _ml_weights(cfg, start, stop)
+        val, arg = _ml_chunk_best(x, *table)
         better = val < best_metric  # strict: earlier candidates win ties
         best_metric[better] = val[better]
-        best_index[better] = idx[arg[better]]
-    return points[(best_index[:, None] // powers) % size]
+        best_index[better] = start + arg[better]
+    return _ml_symbols(cfg, best_index).reshape(batch + (cfg.n_carriers,))
+
+
+def _ml_chunk_best(x: np.ndarray, weights: np.ndarray, energies: np.ndarray):
+    """(metric, position) of each block's best candidate within one chunk;
+    the earliest wins ties. The B x chunk metric block is freed on return."""
+    # ||r - s C||^2 / M up to the common ||r||^2 / M term.
+    metric = x @ weights
+    np.subtract(energies, metric, out=metric)
+    arg = metric.argmin(axis=1)
+    return metric[np.arange(len(x)), arg], arg

@@ -133,11 +133,19 @@ def confidence_interval(errors: int, bits: int) -> tuple[float, float]:
     return max(0.0, p - half), min(1.0, p + half)
 
 
-def run_block(cfg: SefdmConfig, ebn0_db: float, decoder: str, rng, blocks: int = 1):
+def run_block(
+    cfg: SefdmConfig,
+    ebn0_db: float,
+    decoder: str,
+    rng,
+    blocks: int = 1,
+    params: StripeParams = StripeParams(),
+):
     """Simulate `blocks` symbol periods; returns (bits sent, bit errors).
 
     Pipeline: random bits -> symbols -> interleaved modulation -> AWGN ->
-    decode -> bits; deterministic given the rng stream.
+    decode -> bits; deterministic given the rng stream. `params` sets the
+    stripe decoder's iteration count.
     """
     decoder = _canonical_decoder(decoder)
     gen = _as_generator(rng)
@@ -148,7 +156,7 @@ def run_block(cfg: SefdmConfig, ebn0_db: float, decoder: str, rng, blocks: int =
         modulate_interleaved(symbols, cfg), NoiseSpec.from_config(ebn0_db, cfg), gen
     )
     if decoder == "stripe":
-        decoded = stripe_decode(received, cfg, StripeParams())
+        decoded = stripe_decode(received, cfg, params)
     elif decoder == "ml":
         decoded = ml_decode(received, cfg)
     else:
@@ -174,10 +182,7 @@ def _run_point(spec: SweepSpec, alpha_index: int, ebn0_index: int) -> BerRecord:
     periods_done = 0
     while periods_done < spec.max_symbol_periods and errors_total < spec.min_bit_errors:
         batch = min(_BATCH_PERIODS, spec.max_symbol_periods - periods_done)
-        if decoder == "stripe":
-            bits, errs = _run_block_with_params(cfg, ebn0, gen, batch, params)
-        else:
-            bits, errs = run_block(cfg, ebn0, decoder, gen, blocks=batch)
+        bits, errs = run_block(cfg, ebn0, decoder, gen, blocks=batch, params=params)
         bits_total += bits
         errors_total += errs
         periods_done += batch
@@ -202,18 +207,6 @@ def _run_point(spec: SweepSpec, alpha_index: int, ebn0_index: int) -> BerRecord:
         seed=spec.seed,
         wall_time_s=wall,
     )
-
-
-def _run_block_with_params(cfg, ebn0, gen, blocks, params: StripeParams):
-    bps = cfg.alphabet.bits_per_symbol
-    bits = gen.integers(0, 2, size=(blocks, cfg.n_carriers * bps))
-    symbols = bits_to_symbols(bits, cfg.alphabet)
-    received = add_awgn(
-        modulate_interleaved(symbols, cfg), NoiseSpec.from_config(ebn0, cfg), gen
-    )
-    decoded = stripe_decode(received, cfg, params)
-    decoded_bits = symbols_to_bits(decoded, cfg.alphabet)
-    return bits.size, int((decoded_bits != bits).sum())
 
 
 def _run_point_args(args) -> BerRecord:

@@ -1,14 +1,19 @@
 """Receivers: branch demodulation, gravity/truncate/slice, stripe and ML decoding."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sefdm import (
     BPSK,
     QAM4,
     CapacityError,
+    DimensionError,
+    DomainError,
     NoiseSpec,
     RandomSource,
     SefdmConfig,
@@ -28,11 +33,60 @@ from sefdm import (
     stripe_decode_soft,
     truncate,
 )
+from sefdm import detect
+from sefdm.txmod import _branch_layout, _dims, rotation_vector
 
 
 def _random_symbols(cfg, seed):
     gen = RandomSource(seed).generator()
     return bits_to_symbols(gen.integers(0, 2, size=cfg.bits_per_block), cfg.alphabet)
+
+
+def _reference_stripe_batch(r: np.ndarray, cfg: SefdmConfig, params: StripeParams) -> np.ndarray:
+    """The stripe decoder in the M-sample time domain: c FFT/IFFT round trips
+    per sweep, re-modulating every branch. Kept as the reference that the
+    matched-filter decoder must agree with; (B, M) in, (B, N) soft out."""
+    n_car, m_samp, _, c, _ = _dims(cfg)
+    if r.shape[-1] != m_samp:
+        raise DimensionError(f"expected {m_samp} samples, got {r.shape[-1]}")
+    n_blocks = r.shape[0]
+    total_iter = params.iterations
+
+    layouts = [_branch_layout(k, cfg) for k in range(c)]
+    rots = [rotation_vector(k, cfg) for k in range(c)]
+    re_lo, re_hi, im_lo, im_hi = cfg.alphabet.bounding_box
+
+    s_hat = np.zeros((n_blocks, n_car), dtype=complex)
+    branch = [np.zeros((n_blocks, m_samp), dtype=complex) for _ in range(c)]
+    total = np.zeros((n_blocks, m_samp), dtype=complex)
+
+    def remodulate(k: int) -> np.ndarray:
+        bins, syms = layouts[k]
+        spectrum = np.zeros((n_blocks, m_samp), dtype=complex)
+        spectrum[:, bins] = s_hat[:, syms]
+        return np.fft.ifft(spectrum, axis=1) * m_samp * rots[k]
+
+    for j in range(1, total_iter + 1):
+        for k in range(c):
+            bins, syms = layouts[k]
+            resid = r - (total - branch[k])
+            spectrum = np.fft.fft(resid * np.conj(rots[k]), axis=1) / m_samp
+            est = spectrum[:, bins]
+            est = np.clip(est.real, re_lo, re_hi) + 1j * np.clip(est.imag, im_lo, im_hi)
+            s_hat[:, syms] = est
+            # The updated branch is visible to the remaining k within this sweep.
+            new_branch = remodulate(k)
+            total += new_branch - branch[k]
+            branch[k] = new_branch
+        s_hat = s_hat * (total_iter - j) / total_iter + (j / total_iter) * gravity(
+            s_hat, cfg.alphabet
+        )
+        if j < total_iter:
+            for k in range(c):
+                new_branch = remodulate(k)
+                total += new_branch - branch[k]
+                branch[k] = new_branch
+    return s_hat
 
 
 class TestDemodSubsystem:
@@ -151,6 +205,27 @@ class TestStripeDecode:
         soft = stripe_decode_soft(modulate_interleaved(s, cfg), cfg)
         assert soft == pytest.approx(s, abs=1e-6)
 
+    def test_soft_returns_every_block(self):
+        cfg = SefdmConfig(12, 12, 5, 6, QAM4)
+        gen = RandomSource(44).generator()
+        s = bits_to_symbols(gen.integers(0, 2, size=(3, cfg.bits_per_block)), QAM4)
+        r = add_awgn(modulate_interleaved(s, cfg), NoiseSpec.from_config(6.0, cfg), gen)
+        soft = stripe_decode_soft(r, cfg)
+        assert soft.shape == (3, 12)
+        for block in range(3):
+            assert soft[block] == pytest.approx(stripe_decode_soft(r[block], cfg), abs=1e-12)
+        assert np.array_equal(slice_symbols(soft, QAM4), stripe_decode(r, cfg))
+
+    def test_non_finite_samples_rejected(self):
+        cfg = SefdmConfig(12, 12, 5, 6, QAM4)
+        for bad in (np.nan, np.inf, -np.inf, complex(0.0, np.nan)):
+            r = modulate_interleaved(_random_symbols(cfg, 45), cfg)
+            r[3] = bad
+            with pytest.raises(DomainError):
+                stripe_decode(r, cfg)
+            with pytest.raises(DomainError):
+                stripe_decode_soft(np.stack([r, r]), cfg)
+
     def test_iteration_count_validated(self):
         with pytest.raises(ValueError):
             StripeParams(0)
@@ -211,3 +286,87 @@ class TestMlDecode:
             d_ml = np.sum(np.abs(r - modulate_direct(ml_decode(r, cfg), cfg)) ** 2)
             d_st = np.sum(np.abs(r - modulate_direct(stripe_decode(r, cfg), cfg)) ** 2)
             assert d_ml <= d_st + 1e-9
+
+    def test_non_finite_samples_rejected(self):
+        cfg = SefdmConfig(4, 8, 4, 5, QAM4)
+        for bad in (np.nan, np.inf, -np.inf, complex(0.0, np.nan)):
+            r = np.zeros((2, 8), complex)
+            r[1, 5] = bad
+            with pytest.raises(DomainError):
+                ml_decode(r, cfg)
+
+    def test_chunked_enumeration_decides_as_one_chunk(self, monkeypatch):
+        cfg = SefdmConfig(6, 12, 4, 5, QAM4)  # 4^6 = 4096 candidates
+        gen = RandomSource(53).generator()
+        s = bits_to_symbols(gen.integers(0, 2, size=(64, cfg.bits_per_block)), QAM4)
+        r = add_awgn(modulate_interleaved(s, cfg), NoiseSpec.from_config(3.0, cfg), gen)
+        # An all-zero block ties every candidate s with -s, which lies 2 * 4^5
+        # odometer steps away, in another chunk.
+        r = np.concatenate([r, np.zeros((1, 12), complex)])
+        assert detect._ml_chunk(len(r), 6) >= 4096
+        one_chunk = ml_decode(r, cfg)
+        monkeypatch.setattr(detect, "_ML_CHUNK_BYTES", 8 * (len(r) + 2 * 6 + 1) * 100)
+        assert detect._ml_chunk(len(r), 6) == 100
+        assert np.array_equal(ml_decode(r, cfg), one_chunk)
+
+    def test_chunk_bounds_working_memory(self, monkeypatch):
+        # N = 10 QAM4 passes the guard with 2^20 candidates; a harness batch
+        # is 1024 blocks. One chunk's float64 metric block must fit the budget.
+        assert detect._ml_chunk(1024, 10) * 1024 * 8 <= detect._ML_CHUNK_BYTES
+        # Measured on a smaller case: 4^7 candidates x 256 blocks would need a
+        # 32 MiB metric block in one piece.
+        import tracemalloc
+
+        budget = 2**20
+        monkeypatch.setattr(detect, "_ML_CHUNK_BYTES", budget)
+        cfg = SefdmConfig(7, 8, 4, 5, QAM4)
+        r = np.ones((256, 8), complex)
+        ml_decode(r[:1], cfg)  # fill the matched-filter cache outside the measurement
+        tracemalloc.start()
+        try:
+            ml_decode(r, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * budget
+
+
+_ALPHAS = [(b, c) for c in range(1, 7) for b in range(1, c + 1) if math.gcd(b, c) == 1]
+
+
+@st.composite
+def _configs(draw):
+    """N up to 24, any alpha b/c with c <= 6, BPSK or 4-QAM, and any M from
+    the least the branches fit in up to 4x that, so M need not be a multiple of c."""
+    n_car = draw(st.integers(1, 24))
+    b, c = draw(st.sampled_from(_ALPHAS))
+    least = max(n_car, math.ceil(n_car / c) * b)
+    n_samp = draw(st.integers(least, 4 * least))
+    return SefdmConfig(n_car, n_samp, b, c, draw(st.sampled_from([BPSK, QAM4])))
+
+
+class TestMatchedFilterDomain:
+    """The matched-filter decoder against the time-domain reference above."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        cfg=_configs(),
+        seed=st.integers(0, 2**32 - 1),
+        ebn0_db=st.one_of(st.just(math.inf), st.floats(0.0, 15.0)),
+    )
+    def test_stripe_agrees_with_time_domain_reference(self, cfg, seed, ebn0_db):
+        gen = RandomSource(seed).generator()
+        s = bits_to_symbols(gen.integers(0, 2, size=(8, cfg.bits_per_block)), cfg.alphabet)
+        r = add_awgn(modulate_interleaved(s, cfg), NoiseSpec.from_config(ebn0_db, cfg), gen)
+        reference = _reference_stripe_batch(r, cfg, StripeParams())
+        assert np.max(np.abs(stripe_decode_soft(r, cfg) - reference)) <= 1e-9
+        assert np.array_equal(stripe_decode(r, cfg), slice_symbols(reference, cfg.alphabet))
+
+    @settings(max_examples=100, deadline=None)
+    @given(cfg=_configs())
+    def test_branch_groups_are_orthonormal(self, cfg):
+        gram = detect._matched_filter(cfg).gram
+        for k in range(cfg.alpha_den):
+            _, carriers = _branch_layout(k, cfg)
+            block = gram[np.ix_(carriers, carriers)]
+            assert np.max(np.abs(block - np.eye(len(carriers))), initial=0.0) <= 1e-12

@@ -13,12 +13,14 @@ from sefdm import (
     DomainError,
     RandomSource,
     SefdmConfig,
+    StripeParams,
     confidence_interval,
     db_penalty,
     run_block,
     theoretical_ber,
     theory_ebn0_db,
 )
+from sefdm import harness
 from sefdm.harness import BerRecord, SweepSpec, ber_sweep
 
 
@@ -92,6 +94,25 @@ class TestRunBlock:
         cfg = SefdmConfig(8, 8, 1, 1, QAM4)
         with pytest.raises(DomainError):
             run_block(cfg, 4.0, "mmse", RandomSource(0))
+
+    def test_iteration_count_reaches_decoder(self, monkeypatch):
+        seen = []
+        decode = harness.stripe_decode
+
+        def spy(received, cfg, params):
+            seen.append(params.iterations)
+            return decode(received, cfg, params)
+
+        monkeypatch.setattr(harness, "stripe_decode", spy)
+        cfg = SefdmConfig(8, 8, 1, 2, QAM4)
+        run_block(cfg, 4.0, "stripe", RandomSource(63), blocks=4)
+        run_block(cfg, 4.0, "stripe", RandomSource(63), blocks=4, params=StripeParams(3))
+        spec = SweepSpec(
+            carriers=8, samples=8, alphas=((1, 2),), ebn0_db=(4.0,), iterations=7,
+            min_bit_errors=10**9, max_symbol_periods=4, seed=1,
+        )
+        ber_sweep(spec)
+        assert seen == [20, 3, 7]
 
 
 class TestBerSweep:
