@@ -22,7 +22,7 @@ class NoiseSpec:
     Eb is the ensemble-average energy per bit, M*Es/bits_per_symbol (the
     cross-carrier terms vanish in expectation for every alpha), so the noise
     level is constant across blocks. ebn0_db = +inf is the exact no-noise
-    sentinel (sigma2 = 0).
+    sentinel (sigma2 = 0); NaN and -inf are rejected.
     """
 
     ebn0_db: float
@@ -30,7 +30,9 @@ class NoiseSpec:
 
     @classmethod
     def from_config(cls, ebn0_db: float, cfg: SefdmConfig) -> "NoiseSpec":
-        if math.isinf(ebn0_db) and ebn0_db > 0:
+        if math.isnan(ebn0_db) or ebn0_db == -math.inf:
+            raise DomainError(f"Eb/N0 must be finite or +inf, got {ebn0_db}")
+        if ebn0_db == math.inf:
             return cls(ebn0_db, 0.0)
         eb = cfg.n_samples * cfg.alphabet.energy / cfg.alphabet.bits_per_symbol
         return cls(ebn0_db, eb / 10.0 ** (ebn0_db / 10.0))

@@ -183,10 +183,15 @@ def symbols_to_bits(symbols, alphabet: Alphabet) -> np.ndarray:
     Raises DomainError for values that are not alphabet points; slice first.
     """
     symbols = np.asarray(symbols, dtype=complex)
-    points = alphabet.points_array()
-    match = symbols[..., None] == points
-    if not match.any(axis=-1).all():
+    # One comparison per point; the points are distinct, so each symbol
+    # matches at most one and the index sum picks it out.
+    index = np.zeros(symbols.shape, dtype=np.intp)
+    found = np.zeros(symbols.shape, dtype=bool)
+    for i, point in enumerate(alphabet.points):
+        match = symbols == point
+        found |= match
+        index += i * match
+    if not found.all():
         raise DomainError("symbol vector contains values outside the alphabet")
-    idx = match.argmax(axis=-1)
     labels = np.asarray(alphabet.labels, dtype=np.intp)
-    return labels[idx].reshape(symbols.shape[:-1] + (-1,))
+    return labels[index].reshape(symbols.shape[:-1] + (-1,))

@@ -13,11 +13,16 @@ Branch k carries the carrier group K = {k, k + c, k + 2c, ...}, whose carriers
 sit on distinct integer DFT bins, so G[K, K] = I. Cancelling the estimates of
 the other c-1 branches from r and demodulating branch k is then
 s_K <- y_K - sum over n not in K of s_n G[n, K]: one sweep is a block
-Gauss-Seidel pass over the c groups. Each update is truncated to the
-constellation bounding box; after every sweep the whole estimate vector is
-annealed toward the constellation with an inverse-square-distance "gravity"
-pull whose weight ramps linearly from 1/J to 1 over the J sweeps. The final
-vector is sliced to hard symbols.
+Gauss-Seidel pass over the c groups. The decoder keeps its state in
+branch-major carrier order (branch 0's carriers, then branch 1's, ...), so
+each K is a contiguous slice, and updates it in real arithmetic: on the float
+view [Re s_0, Im s_0, Re s_1, ...] one branch update is a single real matrix
+product with the (2N, 2|K|) real embedding of -G[:, K] (rows of K zeroed),
+plus y_K. Each update is truncated to the constellation bounding box; after
+every sweep the whole estimate vector is annealed in place toward the
+constellation with an inverse-square-distance "gravity" pull whose weight
+ramps linearly from 1/J to 1 over the J sweeps. The final vector is put back
+in carrier order and sliced to hard symbols.
 
 The ML decoder minimises s G s^H - 2 Re(y . conj(s)) over every candidate
 symbol vector, in chunks whose working memory is bounded.
@@ -102,13 +107,24 @@ def gravity(est, alphabet: Alphabet):
     """
     e = np.asarray(est, dtype=complex)
     points = alphabet.points_array()
-    d2 = np.abs(e[..., None] - points) ** 2
+    flat = e.reshape(-1)
+    # (P, L) squared distances, constellation points first, so that every
+    # reduction over the points runs across whole rows.
+    d2 = np.subtract.outer(points.real, flat.real)
+    d2 *= d2
+    dy = np.subtract.outer(points.imag, flat.imag)
+    dy *= dy
+    d2 += dy
     hit = d2 < _EXACT_HIT_SQ
     with np.errstate(divide="ignore"):
-        w = 1.0 / d2
-    # Exact hits would divide by ~0; replace their weight rows by an indicator.
-    w = np.where(hit.any(axis=-1)[..., None], hit.astype(float), w)
-    out = (w @ points) / w.sum(axis=-1)
+        w = np.divide(1.0, d2, out=d2)
+    # Exact hits would divide by ~0; replace their weight columns by an indicator.
+    w = np.where(hit.any(axis=0), hit, w)
+    total = w.sum(axis=0)
+    out = np.empty(flat.shape, dtype=complex)
+    np.divide(points.real @ w, total, out=out.real)
+    np.divide(points.imag @ w, total, out=out.imag)
+    out = out.reshape(e.shape)
     return complex(out) if np.isscalar(est) or e.ndim == 0 else out
 
 
@@ -132,14 +148,24 @@ def slice_symbols(est, alphabet: Alphabet):
     return complex(out) if np.isscalar(est) or e.ndim == 0 else out
 
 
+class _Branch(NamedTuple):
+    """One branch of the stripe sweep, on the float view of a branch-major
+    state: its columns, the real embedding of -G'[:, K], and clip bounds."""
+
+    columns: slice  # the branch's [re, im, re, im, ...] columns
+    weights: np.ndarray  # (2N, 2|K|)
+    lo: np.ndarray  # (2|K|,) [re_lo, im_lo, re_lo, im_lo, ...]
+    hi: np.ndarray  # (2|K|,) [re_hi, im_hi, re_hi, im_hi, ...]
+
+
 class _MatchedFilter(NamedTuple):
     """Receiver front end of one configuration; see the module docstring."""
 
     matched: np.ndarray  # (M, N) C^H / M, so that y = r @ matched
     gram: np.ndarray  # (N, N) G = C C^H / M
-    # Per branch: its carriers K and G[:, K] with the rows of K zeroed, so that
-    # y_K - s @ others cancels every other branch.
-    groups: tuple[tuple[np.ndarray, np.ndarray], ...]
+    order: np.ndarray  # branch-major position -> carrier
+    inverse: np.ndarray  # carrier -> branch-major position
+    branches: tuple[_Branch, ...]
 
 
 @lru_cache(maxsize=64)
@@ -147,13 +173,35 @@ def _matched_filter(cfg: SefdmConfig) -> _MatchedFilter:
     matrix = carrier_matrix(cfg)
     matched = np.ascontiguousarray(matrix.conj().T) / cfg.n_samples
     gram = matrix @ matched
-    groups = []
-    for k in range(cfg.alpha_den):
-        _, carriers = _branch_layout(k, cfg)
-        others = gram[:, carriers]
-        others[carriers] = 0
-        groups.append((carriers, others))
-    return _MatchedFilter(matched, gram, tuple(groups))
+    groups = [_branch_layout(k, cfg)[1] for k in range(cfg.alpha_den)]
+    order = np.concatenate(groups)
+    permuted = gram[np.ix_(order, order)]
+    re_lo, re_hi, im_lo, im_hi = cfg.alphabet.bounding_box
+    branches = []
+    start = 0
+    for carriers in groups:
+        stop = start + len(carriers)
+        # G'[:, K]: rows of K zeroed, so that y_K - s @ G'[:, K] cancels every
+        # other branch. With s = a + ib and -G' = P + iQ, the float view
+        # [a_0, b_0, a_1, ...] times [[P, Q], [-Q, P]], interleaved, is the
+        # interleaved -s @ G'[:, K].
+        others = -permuted[:, start:stop]
+        others[start:stop] = 0
+        weights = np.empty((2 * cfg.n_carriers, 2 * (stop - start)))
+        weights[0::2, 0::2] = others.real
+        weights[0::2, 1::2] = others.imag
+        weights[1::2, 0::2] = -others.imag
+        weights[1::2, 1::2] = others.real
+        branches.append(
+            _Branch(
+                slice(2 * start, 2 * stop),
+                weights,
+                np.tile([re_lo, im_lo], stop - start),
+                np.tile([re_hi, im_hi], stop - start),
+            )
+        )
+        start = stop
+    return _MatchedFilter(matched, gram, order, np.argsort(order), tuple(branches))
 
 
 def _matched_outputs(r, cfg: SefdmConfig) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -193,22 +241,38 @@ def _stripe_batch(y: np.ndarray, cfg: SefdmConfig, params: StripeParams) -> np.n
     """Run J sweeps over a (B, N) batch of matched-filter outputs; returns
     (B, N) soft estimates."""
     total_iter = params.iterations
-    groups = _matched_filter(cfg).groups
-    y_groups = [y[:, carriers] for carriers, _ in groups]
-    re_lo, re_hi, im_lo, im_hi = cfg.alphabet.bounding_box
-
+    front = _matched_filter(cfg)
+    # The state runs in branch-major order, so each branch is a column slice
+    # of its float view; it is put back in carrier order on return.
+    y_float = y.take(front.order, axis=1).view(float)
     s_hat = np.zeros_like(y)
+    s_float = s_hat.view(float)
+    # Contiguous per-branch operands: a ufunc over contiguous arrays runs as
+    # one flat loop, where a strided or broadcast operand loops row by row.
+    sweep = [
+        (
+            np.ascontiguousarray(y_float[:, b.columns]),
+            s_float[:, b.columns],
+            b.weights,
+            np.tile(b.lo, (len(y), 1)),
+            np.tile(b.hi, (len(y), 1)),
+        )
+        for b in front.branches
+    ]
     for j in range(1, total_iter + 1):
         # The updated branch is visible to the remaining k within this sweep.
-        for (carriers, others), y_k in zip(groups, y_groups):
-            est = y_k - s_hat @ others
-            s_hat[:, carriers] = np.clip(est.real, re_lo, re_hi) + 1j * np.clip(
-                est.imag, im_lo, im_hi
-            )
-        s_hat = s_hat * (total_iter - j) / total_iter + (j / total_iter) * gravity(
-            s_hat, cfg.alphabet
-        )
-    return s_hat
+        for y_k, s_k, weights, lo, hi in sweep:
+            est = s_float @ weights
+            est += y_k
+            # Truncation to the bounding box: min(max(est, lo), hi), as np.clip.
+            np.maximum(est, lo, out=est)
+            np.minimum(est, hi, out=est)
+            s_k[...] = est
+        pulled = gravity(s_hat, cfg.alphabet)
+        s_hat *= total_iter - j
+        s_hat /= total_iter
+        s_hat += (j / total_iter) * pulled
+    return s_hat.take(front.inverse, axis=1)
 
 
 def ml_capacity(cfg: SefdmConfig) -> int:

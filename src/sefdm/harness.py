@@ -67,11 +67,17 @@ class SweepSpec:
     def __post_init__(self):
         if self.min_bit_errors < 1 or self.max_symbol_periods < 1:
             raise ValueError("stop rule must be positive")
+        # StripeParams and NoiseSpec are built here for their input checks only.
+        StripeParams(self.iterations)
         decoder = _canonical_decoder(self.decoder)
         for b, c in self.alphas:
             cfg = self.config(b, c)
+            for ebn0 in self.ebn0_db:
+                NoiseSpec.from_config(ebn0, cfg)
             if decoder == "ml":
                 check_ml_guard(cfg)
+            if decoder == "ofdm" and b != c:
+                raise DomainError(f"the ofdm decoder needs alpha = 1, got {b}/{c}")
 
     def config(self, alpha_num: int, alpha_den: int) -> SefdmConfig:
         return SefdmConfig(

@@ -33,6 +33,11 @@ class TestNoiseSpec:
         u = np.arange(8) + 1j * np.arange(8)
         assert np.array_equal(add_awgn(u, spec, RandomSource(0)), u)
 
+    @pytest.mark.parametrize("ebn0_db", [math.nan, -math.inf])
+    def test_nan_and_minus_inf_rejected(self, ebn0_db):
+        with pytest.raises(DomainError):
+            NoiseSpec.from_config(ebn0_db, SefdmConfig(8, 8, 1, 1, QAM4))
+
 
 class TestAwgn:
     def test_sample_variance(self):

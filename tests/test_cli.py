@@ -170,3 +170,18 @@ class TestMain:
     def test_usage_error_exit_code(self, capsys):
         assert main("--carriers 8 --alpha 2/4 --ebn0-list 4".split()) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            "--alpha 1/2 --ebn0-list nan",
+            "--alpha 1/2 --ebn0-list=-inf",
+            "--alpha 1/2 --ebn0-list 4 --iterations 0",
+            "--alpha 5/6 --samples 16 --ebn0-list 4 --decoder ofdm",
+        ],
+    )
+    def test_bad_sweep_is_a_usage_error(self, args, tmp_path, capsys):
+        out = tmp_path / "run.csv"
+        assert main(f"--carriers 8 --max-periods 50 --out {out} {args}".split()) == 2
+        assert "error" in capsys.readouterr().err
+        assert not out.exists()

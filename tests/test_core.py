@@ -95,6 +95,8 @@ class TestBitMapping:
     def test_non_alphabet_symbol(self):
         with pytest.raises(DomainError):
             symbols_to_bits([0.5 + 0.5j], QAM4)
+        with pytest.raises(DomainError):
+            symbols_to_bits([[1 + 1j, -1 - 1j], [1 - 1j, 1 + 0j]], QAM4)
 
     def test_batch_shape(self):
         gen = np.random.default_rng(3)

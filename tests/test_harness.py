@@ -155,6 +155,20 @@ class TestBerSweep:
                 alphabet="qam4", decoder="ml",
             )
 
+    @pytest.mark.parametrize("ebn0_db", [math.nan, -math.inf])
+    def test_nan_and_minus_inf_ebn0_rejected(self, ebn0_db):
+        with pytest.raises(DomainError):
+            self._small_spec(ebn0_db=(4.0, ebn0_db))
+
+    def test_iterations_validated_at_spec_construction(self):
+        with pytest.raises(ValueError):
+            self._small_spec(iterations=0)
+
+    def test_ofdm_decoder_needs_alpha_one(self):
+        self._small_spec(alphas=((1, 1),), decoder="ofdm")
+        with pytest.raises(DomainError):
+            self._small_spec(alphas=((1, 1), (5, 6)), decoder="ofdm")
+
     def test_ci_coverage(self):
         # 95% intervals should contain the known truth in >= 90% of repeats
         cfg = SefdmConfig(16, 16, 1, 1, QAM4)
