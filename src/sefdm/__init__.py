@@ -21,10 +21,8 @@ from .core import (
 )
 from .detect import (
     StripeParams,
-    demod_subsystem,
     gravity,
     ml_decode,
-    residual,
     slice_symbols,
     stripe_decode,
     stripe_decode_soft,
@@ -41,13 +39,9 @@ from .harness import (
     theory_ebn0_db,
 )
 from .txmod import (
-    SubsystemSymbols,
     carrier_matrix,
-    merge_symbols,
     modulate_direct,
     modulate_interleaved,
-    modulate_subsystem,
-    partition_symbols,
     rotation_vector,
 )
 
@@ -63,7 +57,6 @@ __all__ = [
     "RandomSource",
     "SefdmConfig",
     "StripeParams",
-    "SubsystemSymbols",
     "SweepSpec",
     "add_awgn",
     "ber_sweep",
@@ -71,18 +64,13 @@ __all__ = [
     "carrier_matrix",
     "confidence_interval",
     "db_penalty",
-    "demod_subsystem",
     "get_alphabet",
     "gravity",
     "interference_continuous",
     "interference_discrete",
-    "merge_symbols",
     "ml_decode",
     "modulate_direct",
     "modulate_interleaved",
-    "modulate_subsystem",
-    "partition_symbols",
-    "residual",
     "rotation_vector",
     "run_block",
     "slice_symbols",

@@ -87,9 +87,11 @@ def get_alphabet(name: str) -> Alphabet:
 class SefdmConfig:
     """System dimensions: N carriers, M samples per symbol period, alpha = b/c.
 
-    alpha = 1 is plain OFDM. M >= N is required; M need not be a multiple of c
-    (the interleaved decomposition holds for any M, the rotation is a pointwise
-    phase multiply rather than an integer bin shift).
+    alpha = 1 is plain OFDM. M >= N is required, and each interleaved branch's
+    spectrum, ceil(N/c)*b bins long, must fit in M (DimensionError otherwise).
+    M need not be a multiple of c (the interleaved decomposition holds for any
+    such M, the rotation is a pointwise phase multiply rather than an integer
+    bin shift).
     """
 
     n_carriers: int
@@ -108,6 +110,11 @@ class SefdmConfig:
             raise ValueError("alpha = b/c must be in lowest terms")
         if self.n_samples < self.n_carriers:
             raise ValueError("need at least as many samples as carriers (M >= N)")
+        length = self.n_padded * b // c
+        if length > self.n_samples:
+            raise DimensionError(
+                f"branch spectrum length {length} exceeds sample count {self.n_samples}"
+            )
 
     @property
     def alpha(self) -> float:
@@ -171,7 +178,8 @@ def bits_to_symbols(bits, alphabet: Alphabet) -> np.ndarray:
         raise DimensionError(
             f"bit count {bits.shape[-1]} is not a multiple of {bps}"
         )
-    groups = bits.reshape(bits.shape[:-1] + (-1, bps))
+    # Explicit lengths: a -1 cannot be resolved when a batch axis is empty.
+    groups = bits.reshape(bits.shape[:-1] + (bits.shape[-1] // bps, bps))
     weights = 1 << np.arange(bps - 1, -1, -1)
     ints = groups @ weights
     return alphabet.points_array()[_label_lut(alphabet)[ints]]
@@ -194,4 +202,5 @@ def symbols_to_bits(symbols, alphabet: Alphabet) -> np.ndarray:
     if not found.all():
         raise DomainError("symbol vector contains values outside the alphabet")
     labels = np.asarray(alphabet.labels, dtype=np.intp)
-    return labels[index].reshape(symbols.shape[:-1] + (-1,))
+    length = math.prod(symbols.shape[-1:]) * alphabet.bits_per_symbol
+    return labels[index].reshape(symbols.shape[:-1] + (length,))

@@ -1,12 +1,14 @@
-"""Receivers: per-branch OFDM demodulation, the iterative stripe decoder,
-and an exhaustive maximum-likelihood oracle.
+"""Receivers: the matched-filter front end, the iterative stripe decoder, an
+exhaustive maximum-likelihood oracle, and the hard slicer.
 
-Both decoders work in the matched-filter domain. A received block r of M
-samples enters them only through its N carrier correlations y = r C^H / M,
+Every receiver works in the matched-filter domain. A received block r of M
+samples enters it only through its N carrier correlations y = r C^H / M,
 where C is the N x M carrier matrix, and through the N x N Gram matrix
 G = C C^H / M, cached per configuration. Since
 ||r - s C||^2 = M (s G s^H - 2 Re(y . conj(s))) + ||r||^2, y is a sufficient
 statistic for s, and no decoder touches the M samples after computing it.
+At alpha = 1, y is the first N bins of the M-point DFT of r scaled by 1/M,
+so the OFDM baseline is slice_symbols(y).
 
 The stripe decoder treats the SEFDM signal as c interleaved OFDM systems.
 Branch k carries the carrier group K = {k, k + c, k + 2c, ...}, whose carriers
@@ -37,14 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import Alphabet, CapacityError, DimensionError, DomainError, SefdmConfig
-from .txmod import (
-    SubsystemSymbols,
-    _branch_layout,
-    _dims,
-    carrier_matrix,
-    modulate_interleaved,
-    rotation_vector,
-)
+from .txmod import _branch_layout, carrier_matrix
 
 # Squared-distance threshold under which a soft estimate counts as exactly on
 # a constellation point (distance < 1e-12).
@@ -67,36 +62,6 @@ class StripeParams:
     def __post_init__(self):
         if self.iterations < 1:
             raise ValueError("need at least one iteration")
-
-
-def demod_subsystem(signal, k: int, cfg: SefdmConfig) -> SubsystemSymbols:
-    """Recover branch-k symbols: derotate by conj(r(k)), forward DFT scaled 1/M.
-
-    Exact inverse of modulate_subsystem on a clean single-branch signal.
-    """
-    _, m_samp, _, c, length = _dims(cfg)
-    if not 0 <= k < c:
-        raise DimensionError(f"subsystem index {k} out of range [0, {c})")
-    signal = np.asarray(signal, dtype=complex)
-    if signal.shape != (m_samp,):
-        raise DimensionError(f"expected {m_samp} samples, got {signal.shape}")
-    spectrum = np.fft.fft(signal * np.conj(rotation_vector(k, cfg))) / m_samp
-    bins, _ = _branch_layout(k, cfg)
-    values = np.zeros(length, dtype=complex)
-    values[bins] = spectrum[bins]
-    return SubsystemSymbols(k, values)
-
-
-def residual(r, est, k: int, cfg: SefdmConfig) -> np.ndarray:
-    """Received signal minus the re-modulated estimate of every branch but k.
-
-    Implemented by zeroing the subsystem-k entries of the estimate and feeding
-    the result through the transmitter.
-    """
-    est = np.asarray(est, dtype=complex)
-    others = est.copy()
-    others[k :: cfg.alpha_den] = 0
-    return np.asarray(r, dtype=complex) - modulate_interleaved(others, cfg)
 
 
 def gravity(est, alphabet: Alphabet):
@@ -208,11 +173,11 @@ def _matched_outputs(r, cfg: SefdmConfig) -> tuple[np.ndarray, tuple[int, ...]]:
     """(B, N) matched-filter outputs of a length-M vector or (..., M) batch,
     and the batch shape.
 
-    Received samples enter both decoders here; wrong lengths and non-finite
+    Received samples enter every receiver here; wrong lengths and non-finite
     samples are rejected.
     """
     r = np.asarray(r, dtype=complex)
-    _, m_samp, _, _, _ = _dims(cfg)
+    m_samp = cfg.n_samples
     if r.shape[-1] != m_samp:
         raise DimensionError(f"expected {m_samp} samples, got {r.shape[-1]}")
     if not np.isfinite(r).all():

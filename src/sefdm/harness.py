@@ -12,7 +12,6 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-import numpy as np
 from scipy.special import erfc, erfcinv
 
 from .channel import NoiseSpec, add_awgn
@@ -26,7 +25,14 @@ from .core import (
     get_alphabet,
     symbols_to_bits,
 )
-from .detect import StripeParams, check_ml_guard, ml_decode, slice_symbols, stripe_decode
+from .detect import (
+    StripeParams,
+    _matched_outputs,
+    check_ml_guard,
+    ml_decode,
+    slice_symbols,
+    stripe_decode,
+)
 from .txmod import modulate_interleaved
 
 DECODERS = ("stripe", "ml", "ofdm")
@@ -38,8 +44,6 @@ _BATCH_PERIODS = 1024
 
 def _canonical_decoder(decoder: str) -> str:
     name = decoder.lower()
-    if name == "ofdm-baseline":
-        name = "ofdm"
     if name not in DECODERS:
         raise DomainError(f"unknown decoder {decoder!r}")
     return name
@@ -166,9 +170,8 @@ def run_block(
     elif decoder == "ml":
         decoded = ml_decode(received, cfg)
     else:
-        # ofdm baseline: plain forward-DFT demodulation, valid at alpha = 1.
-        spectrum = np.fft.fft(received, axis=-1)[..., : cfg.n_carriers] / cfg.n_samples
-        decoded = slice_symbols(spectrum, cfg.alphabet)
+        # ofdm baseline, valid at alpha = 1: slice the matched-filter outputs.
+        decoded = slice_symbols(_matched_outputs(received, cfg)[0], cfg.alphabet)
     decoded_bits = symbols_to_bits(decoded, cfg.alphabet)
     return bits.size, int((decoded_bits != bits).sum())
 

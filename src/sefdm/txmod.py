@@ -9,41 +9,17 @@ Two equivalent transmitter paths are provided:
   zero-stuffed symbol vector, pointwise rotated by r(k)_m =
   exp(2*pi*i*m*k*b/(c*M)), and the branches are summed.
 
-The two paths agree to floating-point rounding for every M >= N.
+The two paths agree to floating-point rounding for every configuration
+SefdmConfig accepts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .core import DimensionError, SefdmConfig
-
-
-@dataclass(frozen=True)
-class SubsystemSymbols:
-    """Symbols of one interleaved OFDM branch.
-
-    ``values`` has length n_padded*b/c; entry l*b holds original symbol
-    S[l*c + k] and every other entry is zero.
-    """
-
-    k: int
-    values: np.ndarray
-
-
-@lru_cache(maxsize=64)
-def _dims(cfg: SefdmConfig) -> tuple[int, int, int, int, int]:
-    """(N, M, b, c, branch length) with the branch-fits-in-M check."""
-    n_pad = cfg.n_padded
-    length = n_pad * cfg.alpha_num // cfg.alpha_den
-    if length > cfg.n_samples:
-        raise DimensionError(
-            f"branch spectrum length {length} exceeds sample count {cfg.n_samples}"
-        )
-    return cfg.n_carriers, cfg.n_samples, cfg.alpha_num, cfg.alpha_den, length
 
 
 @lru_cache(maxsize=64)
@@ -67,14 +43,8 @@ def rotation_vector(k: int, cfg: SefdmConfig) -> np.ndarray:
 @lru_cache(maxsize=256)
 def _branch_layout(k: int, cfg: SefdmConfig) -> tuple[np.ndarray, np.ndarray]:
     """(DFT bins, original symbol indices) carrying data on branch k."""
-    _, _, b, c, _ = _dims(cfg)
-    bins, syms = [], []
-    for l in range(cfg.n_padded // c):
-        idx = l * c + k
-        if idx < cfg.n_carriers:
-            bins.append(l * b)
-            syms.append(idx)
-    return np.asarray(bins, dtype=np.intp), np.asarray(syms, dtype=np.intp)
+    syms = np.arange(k, cfg.n_carriers, cfg.alpha_den, dtype=np.intp)
+    return syms // cfg.alpha_den * cfg.alpha_num, syms
 
 
 def _check_symbols(s, cfg: SefdmConfig) -> np.ndarray:
@@ -95,52 +65,6 @@ def modulate_direct(s, cfg: SefdmConfig) -> np.ndarray:
     return s @ carrier_matrix(cfg)
 
 
-def partition_symbols(s, cfg: SefdmConfig) -> list[SubsystemSymbols]:
-    """Split a symbol vector into the c interleaved branch vectors S'(k).
-
-    The input is implicitly zero-padded to n_padded carriers; every input
-    symbol appears in exactly one output.
-    """
-    s = _check_symbols(s, cfg)
-    if s.ndim != 1:
-        raise DimensionError("partition_symbols takes a single symbol vector")
-    _, _, _, c, length = _dims(cfg)
-    parts = []
-    for k in range(c):
-        bins, syms = _branch_layout(k, cfg)
-        values = np.zeros(length, dtype=complex)
-        values[bins] = s[syms]
-        parts.append(SubsystemSymbols(k, values))
-    return parts
-
-
-def merge_symbols(parts: list[SubsystemSymbols], cfg: SefdmConfig) -> np.ndarray:
-    """Inverse of partition_symbols: S_n = S'(n mod c)[b*(n - n mod c)/c]."""
-    _, _, _, c, length = _dims(cfg)
-    if len(parts) != c:
-        raise DimensionError(f"expected {c} subsystem vectors, got {len(parts)}")
-    if any(len(p.values) != length for p in parts):
-        raise DimensionError("inconsistent subsystem vector lengths")
-    s = np.zeros(cfg.n_carriers, dtype=complex)
-    for part in parts:
-        bins, syms = _branch_layout(part.k, cfg)
-        s[syms] = np.asarray(part.values)[bins]
-    return s
-
-
-def modulate_subsystem(part: SubsystemSymbols, cfg: SefdmConfig) -> np.ndarray:
-    """Signal of a single branch: M-point inverse DFT of S'(k), rotated by r(k)."""
-    _, m_samp, _, c, length = _dims(cfg)
-    if not 0 <= part.k < c:
-        raise DimensionError(f"subsystem index {part.k} out of range [0, {c})")
-    values = np.asarray(part.values, dtype=complex)
-    if values.shape != (length,):
-        raise DimensionError(f"expected branch vector of length {length}")
-    spectrum = np.zeros(m_samp, dtype=complex)
-    spectrum[:length] = values
-    return np.fft.ifft(spectrum) * m_samp * rotation_vector(part.k, cfg)
-
-
 def modulate_interleaved(s, cfg: SefdmConfig) -> np.ndarray:
     """Sum of the c rotated OFDM branches; equals modulate_direct to rounding.
 
@@ -148,9 +72,9 @@ def modulate_interleaved(s, cfg: SefdmConfig) -> np.ndarray:
     """
     s = _check_symbols(s, cfg)
     flat = s.reshape(-1, cfg.n_carriers)
-    _, m_samp, _, c, _ = _dims(cfg)
+    m_samp = cfg.n_samples
     u = np.zeros((flat.shape[0], m_samp), dtype=complex)
-    for k in range(c):
+    for k in range(cfg.alpha_den):
         bins, syms = _branch_layout(k, cfg)
         spectrum = np.zeros_like(u)
         spectrum[:, bins] = flat[:, syms]

@@ -178,6 +178,7 @@ class TestMain:
             "--alpha 1/2 --ebn0-list=-inf",
             "--alpha 1/2 --ebn0-list 4 --iterations 0",
             "--alpha 5/6 --samples 16 --ebn0-list 4 --decoder ofdm",
+            "--alpha 5/6 --ebn0-list 4",
         ],
     )
     def test_bad_sweep_is_a_usage_error(self, args, tmp_path, capsys):

@@ -4,6 +4,9 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes
 
 from sefdm import (
     BPSK,
@@ -98,6 +101,19 @@ class TestBitMapping:
         with pytest.raises(DomainError):
             symbols_to_bits([[1 + 1j, -1 - 1j], [1 - 1j, 1 + 0j]], QAM4)
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        alphabet=st.sampled_from([BPSK, QAM4]),
+        batch=array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4),
+        symbols=st.integers(0, 8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_round_trip_any_batch_shape(self, alphabet, batch, symbols, seed):
+        shape = batch + (symbols * alphabet.bits_per_symbol,)
+        bits = np.random.default_rng(seed).integers(0, 2, size=shape)
+        back = symbols_to_bits(bits_to_symbols(bits, alphabet), alphabet)
+        assert back.shape == bits.shape and np.array_equal(back, bits)
+
     def test_batch_shape(self):
         gen = np.random.default_rng(3)
         bits = gen.integers(0, 2, size=(5, 8))
@@ -122,6 +138,12 @@ class TestConfig:
     def test_rejects_m_below_n(self):
         with pytest.raises(ValueError):
             SefdmConfig(8, 4, 1, 1, QAM4)
+
+    def test_rejects_branches_that_do_not_fit(self):
+        # each branch spans ceil(8/6) * 5 = 10 bins, more than M = 8
+        with pytest.raises(DimensionError):
+            SefdmConfig(8, 8, 5, 6, QAM4)
+        SefdmConfig(8, 10, 5, 6, QAM4)
 
 
 class TestRandomSource:

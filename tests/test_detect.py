@@ -1,4 +1,4 @@
-"""Receivers: branch demodulation, gravity/truncate/slice, stripe and ML decoding."""
+"""Receivers: matched-filter front end, gravity/truncate/slice, stripe and ML decoding."""
 
 import itertools
 import math
@@ -20,21 +20,18 @@ from sefdm import (
     StripeParams,
     add_awgn,
     bits_to_symbols,
-    demod_subsystem,
     gravity,
     ml_decode,
     modulate_direct,
     modulate_interleaved,
-    modulate_subsystem,
-    partition_symbols,
-    residual,
     slice_symbols,
     stripe_decode,
     stripe_decode_soft,
     truncate,
 )
 from sefdm import detect
-from sefdm.txmod import _branch_layout, _dims, rotation_vector
+from sefdm.txmod import _branch_layout, rotation_vector
+from strategies import configs
 
 
 def _random_symbols(cfg, seed):
@@ -63,7 +60,7 @@ def _reference_stripe_batch(r: np.ndarray, cfg: SefdmConfig, params: StripeParam
     per sweep, re-modulating every branch, in carrier order and complex
     arithmetic, annealed by _reference_gravity. Kept as the reference that the
     matched-filter decoder must agree with; (B, M) in, (B, N) soft out."""
-    n_car, m_samp, _, c, _ = _dims(cfg)
+    n_car, m_samp, c = cfg.n_carriers, cfg.n_samples, cfg.alpha_den
     if r.shape[-1] != m_samp:
         raise DimensionError(f"expected {m_samp} samples, got {r.shape[-1]}")
     n_blocks = r.shape[0]
@@ -107,45 +104,25 @@ def _reference_stripe_batch(r: np.ndarray, cfg: SefdmConfig, params: StripeParam
 
 
 class TestDemodSubsystem:
+    """One branch (subsystem) demodulated by the matched-filter front end."""
+
     @pytest.mark.parametrize("k", range(6))
     def test_round_trip(self, k):
+        # G[K, K] = I, so a signal carrying branch k alone comes back exactly on K
         cfg = SefdmConfig(12, 12, 5, 6, QAM4)
-        part = partition_symbols(_random_symbols(cfg, k + 1), cfg)[k]
-        back = demod_subsystem(modulate_subsystem(part, cfg), k, cfg)
-        assert back.values == pytest.approx(part.values)
+        s = np.zeros(12, complex)
+        s[k::6] = _random_symbols(cfg, k + 1)[k::6]
+        y, _ = detect._matched_outputs(modulate_interleaved(s, cfg), cfg)
+        assert y[0, k::6] == pytest.approx(s[k::6])
 
     def test_alpha_one_is_plain_ofdm(self):
-        cfg = SefdmConfig(8, 8, 1, 1, QAM4)
-        s = _random_symbols(cfg, 9)
-        back = demod_subsystem(modulate_direct(s, cfg), 0, cfg)
-        assert back.values == pytest.approx(s)
-
-    def test_zero_signal(self):
-        cfg = SefdmConfig(12, 12, 5, 6, QAM4)
-        assert not demod_subsystem(np.zeros(12, complex), 3, cfg).values.any()
-
-
-class TestResidual:
-    def test_perfect_estimates_isolate_branch(self):
-        cfg = SefdmConfig(12, 12, 5, 6, QAM4)
-        s = _random_symbols(cfg, 20)
-        r = modulate_interleaved(s, cfg)
-        part = partition_symbols(s, cfg)[2]
-        assert residual(r, s, 2, cfg) == pytest.approx(modulate_subsystem(part, cfg))
-
-    def test_zero_estimate_passes_signal_through(self):
-        cfg = SefdmConfig(12, 12, 5, 6, QAM4)
-        r = modulate_interleaved(_random_symbols(cfg, 21), cfg)
-        assert residual(r, np.zeros(12, complex), 0, cfg) == pytest.approx(r)
-
-    def test_two_subsystem_identity(self):
-        cfg = SefdmConfig(8, 8, 1, 2, QAM4)
-        est = _random_symbols(cfg, 22)
-        r = modulate_interleaved(_random_symbols(cfg, 23), cfg)
-        other = est.copy()
-        other[0::2] = 0  # keep only subsystem 1
-        recomposed = residual(r, est, 0, cfg) + modulate_interleaved(other, cfg)
-        assert recomposed == pytest.approx(r)
+        # y is the first N bins of the M-point DFT over M, for M = N and M > N
+        gen = RandomSource(9).generator()
+        for m_samp in (8, 20):
+            cfg = SefdmConfig(8, m_samp, 1, 1, QAM4)
+            r = gen.standard_normal((3, m_samp)) + 1j * gen.standard_normal((3, m_samp))
+            y, _ = detect._matched_outputs(r, cfg)
+            assert y == pytest.approx(np.fft.fft(r)[..., :8] / m_samp)
 
 
 class TestGravity:
@@ -381,26 +358,12 @@ class TestMlDecode:
         assert peak <= 1.5 * budget
 
 
-_ALPHAS = [(b, c) for c in range(1, 7) for b in range(1, c + 1) if math.gcd(b, c) == 1]
-
-
-@st.composite
-def _configs(draw):
-    """N up to 24, any alpha b/c with c <= 6, BPSK or 4-QAM, and any M from
-    the least the branches fit in up to 4x that, so M need not be a multiple of c."""
-    n_car = draw(st.integers(1, 24))
-    b, c = draw(st.sampled_from(_ALPHAS))
-    least = max(n_car, math.ceil(n_car / c) * b)
-    n_samp = draw(st.integers(least, 4 * least))
-    return SefdmConfig(n_car, n_samp, b, c, draw(st.sampled_from([BPSK, QAM4])))
-
-
 class TestMatchedFilterDomain:
     """The matched-filter decoder against the time-domain reference above."""
 
     @settings(max_examples=80, deadline=None)
     @given(
-        cfg=_configs(),
+        cfg=configs(),
         seed=st.integers(0, 2**32 - 1),
         ebn0_db=st.one_of(st.just(math.inf), st.floats(0.0, 15.0)),
     )
@@ -413,7 +376,7 @@ class TestMatchedFilterDomain:
         assert np.array_equal(stripe_decode(r, cfg), slice_symbols(reference, cfg.alphabet))
 
     @settings(max_examples=100, deadline=None)
-    @given(cfg=_configs())
+    @given(cfg=configs())
     def test_branch_groups_are_orthonormal(self, cfg):
         gram = detect._matched_filter(cfg).gram
         for k in range(cfg.alpha_den):

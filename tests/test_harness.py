@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sefdm import (
     BPSK,
@@ -22,10 +24,35 @@ from sefdm import (
 )
 from sefdm import harness
 from sefdm.harness import BerRecord, SweepSpec, ber_sweep
+from strategies import ALPHAS, least_samples
 
 
 def _strip_wall(records):
     return [dataclasses.replace(r, wall_time_s=0.0) for r in records]
+
+
+@st.composite
+def _small_specs(draw):
+    """Sweeps of at most four points over any decoder, up to two batches per point."""
+    decoder = draw(st.sampled_from(harness.DECODERS))
+    carriers = draw(st.integers(1, 6))
+    if decoder == "ofdm":
+        alphas = [(1, 1)]
+    else:
+        alphas = draw(st.lists(st.sampled_from(ALPHAS), min_size=1, max_size=2, unique=True))
+    least = least_samples(carriers, alphas)
+    return SweepSpec(
+        carriers=carriers,
+        samples=draw(st.integers(least, 2 * least)),
+        alphas=tuple(alphas),
+        ebn0_db=tuple(draw(st.lists(st.floats(0.0, 10.0), min_size=1, max_size=2))),
+        alphabet=draw(st.sampled_from(["bpsk", "qam4"])),
+        decoder=decoder,
+        iterations=draw(st.integers(1, 5)),
+        min_bit_errors=draw(st.integers(1, 200)),
+        max_symbol_periods=draw(st.integers(1, 2048)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
 
 
 class TestTheoreticalBer:
@@ -139,6 +166,12 @@ class TestBerSweep:
         spec = self._small_spec()
         assert _strip_wall(ber_sweep(spec, workers=1)) == _strip_wall(ber_sweep(spec, workers=2))
 
+    # Each example starts a process pool, so the count stays low.
+    @settings(max_examples=8, deadline=None)
+    @given(spec=_small_specs())
+    def test_parallel_matches_serial_for_drawn_specs(self, spec):
+        assert _strip_wall(ber_sweep(spec, workers=1)) == _strip_wall(ber_sweep(spec, workers=2))
+
     def test_monotone_in_ebn0(self):
         spec = self._small_spec(
             alphas=((1, 1),), ebn0_db=(0.0, 4.0, 8.0), decoder="ofdm",
@@ -167,7 +200,7 @@ class TestBerSweep:
     def test_ofdm_decoder_needs_alpha_one(self):
         self._small_spec(alphas=((1, 1),), decoder="ofdm")
         with pytest.raises(DomainError):
-            self._small_spec(alphas=((1, 1), (5, 6)), decoder="ofdm")
+            self._small_spec(alphas=((1, 1), (3, 4)), decoder="ofdm")
 
     def test_ci_coverage(self):
         # 95% intervals should contain the known truth in >= 90% of repeats

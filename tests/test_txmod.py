@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sefdm import (
     BPSK,
@@ -11,13 +13,13 @@ from sefdm import (
     SefdmConfig,
     bits_to_symbols,
     carrier_matrix,
-    merge_symbols,
     modulate_direct,
     modulate_interleaved,
-    modulate_subsystem,
-    partition_symbols,
     rotation_vector,
 )
+from sefdm import detect
+from sefdm.txmod import _branch_layout
+from strategies import configs
 
 
 def _random_symbols(cfg, gen):
@@ -61,8 +63,8 @@ class TestCarrierMatrix:
 
 class TestModulateDirect:
     def test_zero_in_zero_out(self):
-        cfg = SefdmConfig(8, 8, 5, 6, QAM4)
-        assert modulate_direct(np.zeros(8), cfg) == pytest.approx(np.zeros(8))
+        cfg = SefdmConfig(8, 10, 5, 6, QAM4)
+        assert modulate_direct(np.zeros(8), cfg) == pytest.approx(np.zeros(10))
 
     def test_single_carrier_is_constant(self):
         cfg = SefdmConfig(1, 7, 2, 3, QAM4)
@@ -70,7 +72,7 @@ class TestModulateDirect:
         assert u == pytest.approx(np.full(7, 1 - 1j))
 
     def test_against_brute_force(self):
-        cfg = SefdmConfig(8, 8, 5, 6, QAM4)
+        cfg = SefdmConfig(8, 10, 5, 6, QAM4)
         s = _random_symbols(cfg, RandomSource(1).generator())
         u = modulate_direct(s, cfg)
         oracle = brute_force_modulate(s, cfg)
@@ -83,40 +85,40 @@ class TestModulateDirect:
 
 
 class TestPartitionMerge:
+    """The partition of the carriers into the c interleaved branch groups, and
+    the decoder's branch-major order built from it."""
+
     def test_alpha_half(self):
         cfg = SefdmConfig(4, 4, 1, 2, QAM4)
-        s = np.array([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j])
-        parts = partition_symbols(s, cfg)
-        assert parts[0].values == pytest.approx(np.array([s[0], s[2]]))
-        assert parts[1].values == pytest.approx(np.array([s[1], s[3]]))
+        for k, carriers in enumerate([[0, 2], [1, 3]]):
+            bins, syms = _branch_layout(k, cfg)
+            assert syms.tolist() == carriers
+            assert bins.tolist() == [0, 1]
 
     def test_alpha_three_quarters(self):
         cfg = SefdmConfig(4, 4, 3, 4, QAM4)
-        s = np.array([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j])
-        parts = partition_symbols(s, cfg)
-        for k, part in enumerate(parts):
-            assert len(part.values) == 3
-            assert part.values == pytest.approx(np.array([s[k], 0, 0]))
+        for k in range(4):
+            bins, syms = _branch_layout(k, cfg)
+            assert syms.tolist() == [k]
+            assert bins.tolist() == [0]
 
     @pytest.mark.parametrize("n,m,b,c", [(4, 4, 1, 2), (4, 4, 3, 4), (16, 16, 5, 6), (7, 12, 2, 3)])
     def test_round_trip(self, n, m, b, c):
+        # branch-major order lists branch 0's carriers, then branch 1's, ...;
+        # its inverse puts a vector back in carrier order
         cfg = SefdmConfig(n, m, b, c, QAM4)
+        front = detect._matched_filter(cfg)
         s = _random_symbols(cfg, RandomSource(2).generator())
-        assert merge_symbols(partition_symbols(s, cfg), cfg) == pytest.approx(s)
+        assert np.array_equal(front.order, np.concatenate([np.arange(k, n, c) for k in range(c)]))
+        assert np.array_equal(s[front.order][front.inverse], s)
 
     def test_every_symbol_appears_once(self):
+        # every carrier lies in exactly one branch group, the group of its index mod c
         cfg = SefdmConfig(10, 12, 5, 6, QAM4)
-        s = np.arange(1, 11, dtype=complex)
-        parts = partition_symbols(s, cfg)
-        seen = sorted(v for p in parts for v in p.values if v != 0)
-        assert seen == pytest.approx(list(s))
-
-    def test_inconsistent_lengths(self):
-        cfg = SefdmConfig(4, 4, 1, 2, QAM4)
-        parts = partition_symbols(np.ones(4, complex), cfg)
-        bad = parts[:1] + [type(parts[1])(1, parts[1].values[:-1])]
-        with pytest.raises(DimensionError):
-            merge_symbols(bad, cfg)
+        groups = [_branch_layout(k, cfg)[1] for k in range(6)]
+        assert sorted(np.concatenate(groups).tolist()) == list(range(10))
+        for k, carriers in enumerate(groups):
+            assert (carriers % 6 == k).all()
 
 
 class TestModulateInterleaved:
@@ -143,26 +145,39 @@ class TestModulateInterleaved:
             u_inter = modulate_interleaved(s, cfg)
             assert np.max(np.abs(u_inter - u_direct)) <= 1e-9 * np.max(np.abs(u_direct))
 
+    @settings(max_examples=100, deadline=None)
+    @given(cfg=configs(), seed=st.integers(0, 2**32 - 1))
+    def test_matches_direct_for_any_config(self, cfg, seed):
+        gen = RandomSource(seed).generator()
+        s = bits_to_symbols(gen.integers(0, 2, size=(4, cfg.bits_per_block)), cfg.alphabet)
+        u_direct = modulate_direct(s, cfg)
+        u_inter = modulate_interleaved(s, cfg)
+        assert np.max(np.abs(u_inter - u_direct)) <= 1e-9 * np.max(np.abs(u_direct))
+
     def test_subsystems_sum_to_direct(self):
+        # the signal is the sum of the c branch signals, each carrying one group
         cfg = SefdmConfig(12, 24, 5, 6, QAM4)
         s = _random_symbols(cfg, RandomSource(6).generator())
-        total = sum(modulate_subsystem(p, cfg) for p in partition_symbols(s, cfg))
+        carrier = np.arange(12)
+        total = sum(modulate_interleaved(np.where(carrier % 6 == k, s, 0), cfg) for k in range(6))
         assert total == pytest.approx(modulate_direct(s, cfg))
 
     def test_subsystem_zero_and_rotation_identity(self):
         cfg = SefdmConfig(12, 12, 5, 6, QAM4)
-        parts = partition_symbols(np.zeros(12, complex), cfg)
-        assert modulate_subsystem(parts[0], cfg) == pytest.approx(np.zeros(12))
+        assert modulate_interleaved(np.zeros(12, complex), cfg) == pytest.approx(np.zeros(12))
         assert rotation_vector(0, cfg) == pytest.approx(np.ones(12))
 
     def test_single_subsystem_input_is_additive(self):
+        # branch 0 alone is plain OFDM on its bins: its rotation is the identity
         cfg = SefdmConfig(12, 12, 5, 6, QAM4)
         gen = RandomSource(7).generator()
         s = _random_symbols(cfg, gen)
         s0 = s.copy()
         s0[[i for i in range(12) if i % 6 != 0]] = 0  # subsystem 0 only
-        parts = partition_symbols(s0, cfg)
-        assert modulate_interleaved(s0, cfg) == pytest.approx(modulate_subsystem(parts[0], cfg))
+        bins, syms = _branch_layout(0, cfg)
+        spectrum = np.zeros(12, complex)
+        spectrum[bins] = s0[syms]
+        assert modulate_interleaved(s0, cfg) == pytest.approx(np.fft.ifft(spectrum) * 12)
 
     def test_linearity(self):
         cfg = SefdmConfig(9, 15, 2, 3, QAM4)
