@@ -12,16 +12,14 @@ import argparse
 import csv
 import math
 import sys
-from dataclasses import dataclass
+import typing
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 
 from .core import CapacityError, get_alphabet
-from .harness import BerRecord, SweepSpec, ber_sweep, theoretical_ber
+from .harness import DECODERS, BerRecord, SweepSpec, ber_sweep, theoretical_ber
 
-CSV_HEADER = (
-    "alpha_num,alpha_den,carriers,samples,alphabet,decoder,iterations,"
-    "ebn0_db,bits,errors,ber,ci_low,ci_high,seed,wall_time_s"
-)
+CSV_HEADER = ",".join(f.name for f in fields(BerRecord))
 
 
 @dataclass(frozen=True)
@@ -41,10 +39,6 @@ def _parse_alpha(text: str) -> tuple[int, int]:
         b, c = int(num), int(den)
     except ValueError:
         raise UsageError(f"malformed alpha {text!r}; expected B/C") from None
-    if b < 1 or c < 1 or b > c:
-        raise UsageError(f"alpha {text!r} must satisfy 1 <= B <= C")
-    if math.gcd(b, c) != 1:
-        raise UsageError(f"alpha {text!r} must be in lowest terms")
     return b, c
 
 
@@ -53,6 +47,8 @@ def _parse_ebn0_range(text: str) -> tuple[float, ...]:
         start, stop, step = (float(v) for v in text.split(":"))
     except ValueError:
         raise UsageError(f"malformed --ebn0 {text!r}; expected start:stop:step") from None
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise UsageError(f"--ebn0 {text!r} needs finite start, stop and step")
     if step <= 0 or stop < start:
         raise UsageError("--ebn0 requires step > 0 and stop >= start")
     points = []
@@ -88,7 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ebn0 = parser.add_mutually_exclusive_group(required=True)
     ebn0.add_argument("--ebn0", metavar="START:STOP:STEP", help="Eb/N0 grid in dB")
     ebn0.add_argument("--ebn0-list", metavar="V1,V2,...", help="explicit Eb/N0 points in dB")
-    parser.add_argument("--decoder", choices=("stripe", "ml", "ofdm"), default="stripe")
+    parser.add_argument("--decoder", choices=DECODERS, default="stripe")
     parser.add_argument("--iterations", type=int, default=20, metavar="J")
     parser.add_argument("--min-errors", type=int, default=100, metavar="E")
     parser.add_argument("--max-periods", type=int, default=1_000_000, metavar="P")
@@ -99,20 +95,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def parse_args(argv) -> CliConfig:
-    """Parse and validate argv into a CliConfig; raises UsageError or SystemExit."""
+    """Parse argv into a CliConfig; raises UsageError or SystemExit.
+
+    Only the text is checked here: SweepSpec and SefdmConfig validate the
+    values, and their ValueError becomes a UsageError.
+    """
     args = _build_parser().parse_args(argv)
-    if args.carriers < 1:
-        raise UsageError("--carriers must be positive")
     if args.oversample is not None:
-        if args.oversample < 1:
-            raise UsageError("--oversample must be positive")
         samples = args.oversample * args.carriers
     elif args.samples is not None:
         samples = args.samples
     else:
         samples = args.carriers
-    if samples < args.carriers:
-        raise UsageError("--samples must be at least --carriers")
 
     alphas = tuple(_parse_alpha(a) for a in args.alpha)
     ebn0 = _parse_ebn0_range(args.ebn0) if args.ebn0 else _parse_ebn0_list(args.ebn0_list)
@@ -135,57 +129,28 @@ def parse_args(argv) -> CliConfig:
     return CliConfig(spec=spec, out=args.out, fmt=args.format)
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _sorted_records(records: list[BerRecord]) -> list[BerRecord]:
     return sorted(records, key=lambda r: (r.alpha_num / r.alpha_den, r.ebn0_db))
 
 
 def emit_csv(records: list[BerRecord], path) -> None:
-    """Write records as UTF-8 CSV with the fixed header, sorted by (alpha, Eb/N0)."""
+    """Write records as UTF-8 CSV, one column per BerRecord field in field
+    order, rows sorted by (alpha, Eb/N0). Floats are written as their repr."""
     if not records:
         raise ValueError("no records to write")
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(CSV_HEADER.split(","))
-        for r in _sorted_records(records):
-            writer.writerow(
-                [
-                    r.alpha_num, r.alpha_den, r.carriers, r.samples, r.alphabet,
-                    r.decoder, r.iterations, _fmt(r.ebn0_db), r.bits, r.errors,
-                    _fmt(r.ber), _fmt(r.ci_low), _fmt(r.ci_high), r.seed,
-                    _fmt(r.wall_time_s),
-                ]
-            )
+        writer.writerows(astuple(r) for r in _sorted_records(records))
 
 
 def read_csv(path) -> list[BerRecord]:
     """Parse a CSV written by emit_csv back into records."""
+    types = typing.get_type_hints(BerRecord)
     with open(path, encoding="utf-8", newline="") as handle:
         rows = list(csv.DictReader(handle))
     return [
-        BerRecord(
-            alpha_num=int(row["alpha_num"]),
-            alpha_den=int(row["alpha_den"]),
-            carriers=int(row["carriers"]),
-            samples=int(row["samples"]),
-            alphabet=row["alphabet"],
-            decoder=row["decoder"],
-            iterations=int(row["iterations"]),
-            ebn0_db=float(row["ebn0_db"]),
-            bits=int(row["bits"]),
-            errors=int(row["errors"]),
-            ber=float(row["ber"]),
-            ci_low=float(row["ci_low"]),
-            ci_high=float(row["ci_high"]),
-            seed=int(row["seed"]),
-            wall_time_s=float(row["wall_time_s"]),
-        )
-        for row in rows
+        BerRecord(**{name: types[name](text) for name, text in row.items()}) for row in rows
     ]
 
 

@@ -105,9 +105,9 @@ class SefdmConfig:
             raise ValueError("carrier and sample counts must be positive")
         b, c = self.alpha_num, self.alpha_den
         if b < 1 or c < 1 or b > c:
-            raise ValueError("alpha = b/c requires 1 <= b <= c")
+            raise ValueError(f"alpha = {b}/{c} must satisfy 1 <= b <= c")
         if math.gcd(b, c) != 1:
-            raise ValueError("alpha = b/c must be in lowest terms")
+            raise ValueError(f"alpha = {b}/{c} must be in lowest terms")
         if self.n_samples < self.n_carriers:
             raise ValueError("need at least as many samples as carriers (M >= N)")
         length = self.n_padded * b // c

@@ -281,12 +281,6 @@ def _ml_weights(cfg: SefdmConfig, start: int, stop: int) -> tuple[np.ndarray, np
     return np.ascontiguousarray(weights), energies
 
 
-@lru_cache(maxsize=8)
-def _ml_table(cfg: SefdmConfig) -> tuple[np.ndarray, np.ndarray]:
-    """_ml_weights over every candidate, for configurations enumerated in one chunk."""
-    return _ml_weights(cfg, 0, ml_capacity(cfg))
-
-
 def ml_decode(r, cfg: SefdmConfig) -> np.ndarray:
     """Exhaustive minimum-distance decoding over every candidate symbol vector.
 
@@ -303,8 +297,7 @@ def ml_decode(r, cfg: SefdmConfig) -> np.ndarray:
     best_index = np.zeros(len(y), dtype=np.int64)
     for start in range(0, count, chunk):
         stop = min(start + chunk, count)
-        table = _ml_table(cfg) if chunk >= count else _ml_weights(cfg, start, stop)
-        val, arg = _ml_chunk_best(x, *table)
+        val, arg = _ml_chunk_best(x, *_ml_weights(cfg, start, stop))
         better = val < best_metric  # strict: earlier candidates win ties
         best_metric[better] = val[better]
         best_index[better] = start + arg[better]

@@ -42,13 +42,6 @@ DECODERS = ("stripe", "ml", "ofdm")
 _BATCH_PERIODS = 1024
 
 
-def _canonical_decoder(decoder: str) -> str:
-    name = decoder.lower()
-    if name not in DECODERS:
-        raise DomainError(f"unknown decoder {decoder!r}")
-    return name
-
-
 @dataclass(frozen=True)
 class SweepSpec:
     """One BER experiment: a config template swept over alphas and Eb/N0 points.
@@ -71,16 +64,21 @@ class SweepSpec:
     def __post_init__(self):
         if self.min_bit_errors < 1 or self.max_symbol_periods < 1:
             raise ValueError("stop rule must be positive")
+        if not self.alphas or not self.ebn0_db:
+            raise ValueError("the alpha and Eb/N0 grids must not be empty")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         # StripeParams and NoiseSpec are built here for their input checks only.
         StripeParams(self.iterations)
-        decoder = _canonical_decoder(self.decoder)
+        if self.decoder not in DECODERS:
+            raise DomainError(f"unknown decoder {self.decoder!r}")
         for b, c in self.alphas:
             cfg = self.config(b, c)
             for ebn0 in self.ebn0_db:
                 NoiseSpec.from_config(ebn0, cfg)
-            if decoder == "ml":
+            if self.decoder == "ml":
                 check_ml_guard(cfg)
-            if decoder == "ofdm" and b != c:
+            if self.decoder == "ofdm" and b != c:
                 raise DomainError(f"the ofdm decoder needs alpha = 1, got {b}/{c}")
 
     def config(self, alpha_num: int, alpha_den: int) -> SefdmConfig:
@@ -157,7 +155,8 @@ def run_block(
     decode -> bits; deterministic given the rng stream. `params` sets the
     stripe decoder's iteration count.
     """
-    decoder = _canonical_decoder(decoder)
+    if decoder not in DECODERS:
+        raise DomainError(f"unknown decoder {decoder!r}")
     gen = _as_generator(rng)
     bps = cfg.alphabet.bits_per_symbol
     bits = gen.integers(0, 2, size=(blocks, cfg.n_carriers * bps))
@@ -182,7 +181,6 @@ def _run_point(spec: SweepSpec, alpha_index: int, ebn0_index: int) -> BerRecord:
     cfg = spec.config(alpha_num, alpha_den)
     stream = alpha_index * len(spec.ebn0_db) + ebn0_index
     gen = RandomSource(spec.seed, stream).generator()
-    decoder = _canonical_decoder(spec.decoder)
     params = StripeParams(spec.iterations)
 
     start = time.perf_counter()
@@ -191,7 +189,7 @@ def _run_point(spec: SweepSpec, alpha_index: int, ebn0_index: int) -> BerRecord:
     periods_done = 0
     while periods_done < spec.max_symbol_periods and errors_total < spec.min_bit_errors:
         batch = min(_BATCH_PERIODS, spec.max_symbol_periods - periods_done)
-        bits, errs = run_block(cfg, ebn0, decoder, gen, blocks=batch, params=params)
+        bits, errs = run_block(cfg, ebn0, spec.decoder, gen, blocks=batch, params=params)
         bits_total += bits
         errors_total += errs
         periods_done += batch
@@ -204,8 +202,8 @@ def _run_point(spec: SweepSpec, alpha_index: int, ebn0_index: int) -> BerRecord:
         alpha_den=alpha_den,
         carriers=spec.carriers,
         samples=spec.samples,
-        alphabet=get_alphabet(spec.alphabet).name,
-        decoder=decoder,
+        alphabet=cfg.alphabet.name,
+        decoder=spec.decoder,
         iterations=spec.iterations,
         ebn0_db=ebn0,
         bits=bits_total,
@@ -218,25 +216,19 @@ def _run_point(spec: SweepSpec, alpha_index: int, ebn0_index: int) -> BerRecord:
     )
 
 
-def _run_point_args(args) -> BerRecord:
-    return _run_point(*args)
-
-
 def ber_sweep(spec: SweepSpec, workers: int = 1) -> list[BerRecord]:
     """Run every (alpha, Eb/N0) point of the sweep.
 
     Records come back in grid order (alphas in spec order, Eb/N0 in spec
     order) and are bit-identical for any worker count.
     """
-    grid = [
-        (spec, ai, ei)
-        for ai in range(len(spec.alphas))
-        for ei in range(len(spec.ebn0_db))
-    ]
+    alpha_index = [ai for ai in range(len(spec.alphas)) for _ in spec.ebn0_db]
+    ebn0_index = list(range(len(spec.ebn0_db))) * len(spec.alphas)
+    args = ([spec] * len(alpha_index), alpha_index, ebn0_index)
     if workers <= 1:
-        return [_run_point_args(args) for args in grid]
+        return list(map(_run_point, *args))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_run_point_args, grid))
+        return list(pool.map(_run_point, *args))
 
 
 def db_penalty(records: list[BerRecord], target_ber: float) -> float:

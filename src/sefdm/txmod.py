@@ -22,13 +22,19 @@ import numpy as np
 from .core import DimensionError, SefdmConfig
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """Cached arrays are shared by every caller; an in-place write raises."""
+    array.flags.writeable = False
+    return array
+
+
 @lru_cache(maxsize=64)
 def carrier_matrix(cfg: SefdmConfig) -> np.ndarray:
     """The N x M carrier matrix, indices from zero."""
     n = np.arange(cfg.n_carriers)[:, None]
     m = np.arange(cfg.n_samples)[None, :]
     b, c = cfg.alpha_num, cfg.alpha_den
-    return np.exp(2j * np.pi * n * m * b / (c * cfg.n_samples))
+    return _read_only(np.exp(2j * np.pi * n * m * b / (c * cfg.n_samples)))
 
 
 @lru_cache(maxsize=256)
@@ -37,14 +43,16 @@ def rotation_vector(k: int, cfg: SefdmConfig) -> np.ndarray:
     if not 0 <= k < cfg.alpha_den:
         raise DimensionError(f"subsystem index {k} out of range [0, {cfg.alpha_den})")
     m = np.arange(cfg.n_samples)
-    return np.exp(2j * np.pi * m * k * cfg.alpha_num / (cfg.alpha_den * cfg.n_samples))
+    return _read_only(
+        np.exp(2j * np.pi * m * k * cfg.alpha_num / (cfg.alpha_den * cfg.n_samples))
+    )
 
 
 @lru_cache(maxsize=256)
 def _branch_layout(k: int, cfg: SefdmConfig) -> tuple[np.ndarray, np.ndarray]:
     """(DFT bins, original symbol indices) carrying data on branch k."""
     syms = np.arange(k, cfg.n_carriers, cfg.alpha_den, dtype=np.intp)
-    return syms // cfg.alpha_den * cfg.alpha_num, syms
+    return _read_only(syms // cfg.alpha_den * cfg.alpha_num), _read_only(syms)
 
 
 def _check_symbols(s, cfg: SefdmConfig) -> np.ndarray:

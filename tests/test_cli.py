@@ -3,6 +3,7 @@
 import math
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
 from sefdm.cli import (
@@ -14,7 +15,7 @@ from sefdm.cli import (
     parse_args,
     read_csv,
 )
-from sefdm.harness import SweepSpec, ber_sweep
+from sefdm.harness import BerRecord, SweepSpec, ber_sweep
 
 
 def _tiny_records(ebn0=(2.0, 4.0), decoder="stripe", alphas=((1, 2),)):
@@ -129,6 +130,30 @@ class TestEmitCsv:
         assert row[header.index("ber")] == "0.0"
         assert row[header.index("ci_low")] == "0.0"
 
+    def test_golden_bytes(self, tmp_path):
+        records = [
+            BerRecord(5, 6, 16, 256, "qam4", "stripe", 20, 0.1, 32000, 3, 1e-05, -0.0, 1 / 3, 7, 1e-300),
+            BerRecord(1, 2, 8, 8, "bpsk", "ml", 20, math.inf, 1024, 0, 0.0, 0.0, 0.0029296875, 0, 0.25),
+        ]
+        path = tmp_path / "golden.csv"
+        emit_csv(records, path)
+        assert path.read_bytes() == (
+            b"alpha_num,alpha_den,carriers,samples,alphabet,decoder,iterations,"
+            b"ebn0_db,bits,errors,ber,ci_low,ci_high,seed,wall_time_s\r\n"
+            b"1,2,8,8,bpsk,ml,20,inf,1024,0,0.0,0.0,0.0029296875,0,0.25\r\n"
+            b"5,6,16,256,qam4,stripe,20,0.1,32000,3,1e-05,-0.0,0.3333333333333333,7,1e-300\r\n"
+        )
+        assert read_csv(path) == records[::-1]
+
+    def test_numpy_scalars_read_back(self, tmp_path):
+        record = BerRecord(
+            1, 2, 8, 8, "qam4", "stripe", 20, np.float64(0.1), 64, np.int64(3),
+            np.float64(3 / 64), 0.0, 0.1, 1, 0.5,
+        )
+        path = tmp_path / "np.csv"
+        emit_csv([record], path)
+        assert read_csv(path) == [record]
+
     def test_empty_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             emit_csv([], tmp_path / "no.csv")
@@ -179,6 +204,14 @@ class TestMain:
             "--alpha 1/2 --ebn0-list 4 --iterations 0",
             "--alpha 5/6 --samples 16 --ebn0-list 4 --decoder ofdm",
             "--alpha 5/6 --ebn0-list 4",
+            "--alpha 1/2 --ebn0 0:1:nan",
+            "--alpha 1/2 --ebn0 nan:1:1",
+            "--alpha 1/2 --ebn0 0:inf:1",
+            "--alpha 1/2 --ebn0-list 4 --seed -1",
+            "--alpha 1/2 --ebn0-list 4 --carriers 0",
+            "--alpha 1/2 --ebn0-list 4 --oversample 0",
+            "--alpha 0/1 --ebn0-list 4",
+            "--alpha 1/0 --ebn0-list 4",
         ],
     )
     def test_bad_sweep_is_a_usage_error(self, args, tmp_path, capsys):

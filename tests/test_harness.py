@@ -193,6 +193,14 @@ class TestBerSweep:
         with pytest.raises(DomainError):
             self._small_spec(ebn0_db=(4.0, ebn0_db))
 
+    @pytest.mark.parametrize(
+        "change", [{"alphas": ()}, {"ebn0_db": ()}, {"seed": -1}],
+        ids=["no-alpha", "no-ebn0", "negative-seed"],
+    )
+    def test_empty_grid_and_negative_seed_rejected(self, change):
+        with pytest.raises(ValueError):
+            self._small_spec(**change)
+
     def test_iterations_validated_at_spec_construction(self):
         with pytest.raises(ValueError):
             self._small_spec(iterations=0)

@@ -61,6 +61,26 @@ class TestCarrierMatrix:
         assert mat[:, 0] == pytest.approx(np.ones(6))
 
 
+class TestCachedArrays:
+    @pytest.mark.parametrize(
+        "get",
+        [
+            carrier_matrix,
+            lambda cfg: rotation_vector(1, cfg),
+            lambda cfg: _branch_layout(1, cfg)[0],
+            lambda cfg: _branch_layout(1, cfg)[1],
+        ],
+        ids=["carrier_matrix", "rotation_vector", "branch_bins", "branch_carriers"],
+    )
+    def test_read_only(self, get):
+        cfg = SefdmConfig(6, 12, 2, 3, QAM4)
+        pristine = get(cfg).copy()
+        array = get(cfg)
+        with pytest.raises(ValueError):
+            array *= 2
+        assert np.array_equal(get(cfg), pristine)
+
+
 class TestModulateDirect:
     def test_zero_in_zero_out(self):
         cfg = SefdmConfig(8, 10, 5, 6, QAM4)
