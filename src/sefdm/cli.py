@@ -21,6 +21,8 @@ from .harness import DECODERS, BerRecord, SweepSpec, ber_sweep, theoretical_ber
 
 CSV_HEADER = ",".join(f.name for f in fields(BerRecord))
 
+_MAX_EBN0_POINTS = 10_000  # a longer --ebn0 grid is a typo, not a sweep
+
 
 @dataclass(frozen=True)
 class CliConfig:
@@ -51,12 +53,10 @@ def _parse_ebn0_range(text: str) -> tuple[float, ...]:
         raise UsageError(f"--ebn0 {text!r} needs finite start, stop and step")
     if step <= 0 or stop < start:
         raise UsageError("--ebn0 requires step > 0 and stop >= start")
-    points = []
-    value = start
-    while value <= stop + 1e-9:
-        points.append(round(value, 9))
-        value += step
-    return tuple(points)
+    span = (stop - start) / step + 1e-9  # inf if this overflows
+    if span >= _MAX_EBN0_POINTS:
+        raise UsageError(f"--ebn0 {text!r} has more than {_MAX_EBN0_POINTS} points")
+    return tuple(round(start + i * step, 9) for i in range(math.floor(span) + 1))
 
 
 def _parse_ebn0_list(text: str) -> tuple[float, ...]:

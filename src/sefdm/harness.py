@@ -7,12 +7,12 @@ bit-identical no matter how points are scheduled across workers.
 
 from __future__ import annotations
 
+import functools
 import math
+import statistics
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-
-from scipy.special import erfc, erfcinv
 
 from .channel import NoiseSpec, add_awgn
 from .core import (
@@ -109,7 +109,7 @@ class BerRecord:
 
 
 def theoretical_ber(ebn0_db: float, alphabet: Alphabet) -> float:
-    """Matched-filter OFDM reference, Q(sqrt(2*Eb/N0)).
+    """Matched-filter OFDM reference, Q(sqrt(2*Eb/N0)) = math.erfc(sqrt(Eb/N0)) / 2.
 
     Holds for BPSK and for Gray-coded 4-QAM (per-bit error equal at equal
     Eb/N0); other alphabets are rejected.
@@ -119,14 +119,15 @@ def theoretical_ber(ebn0_db: float, alphabet: Alphabet) -> float:
     if math.isinf(ebn0_db) and ebn0_db > 0:
         return 0.0
     rho = 10.0 ** (ebn0_db / 10.0)
-    return float(0.5 * erfc(math.sqrt(rho)))
+    return 0.5 * math.erfc(math.sqrt(rho))
 
 
 def theory_ebn0_db(target_ber: float) -> float:
-    """Eb/N0 (dB) at which the theoretical BER equals target_ber."""
+    """Eb/N0 (dB) at which the theoretical BER equals target_ber, from
+    erfcinv(2p)**2 = Phi^-1(p)**2 / 2 with Phi^-1 = `statistics.NormalDist().inv_cdf`."""
     if not 0.0 < target_ber < 0.5:
         raise DomainError("target BER must be in (0, 0.5)")
-    rho = float(erfcinv(2.0 * target_ber)) ** 2
+    rho = statistics.NormalDist().inv_cdf(target_ber) ** 2 / 2
     return 10.0 * math.log10(rho)
 
 
@@ -175,12 +176,12 @@ def run_block(
     return bits.size, int((decoded_bits != bits).sum())
 
 
-def _run_point(spec: SweepSpec, alpha_index: int, ebn0_index: int) -> BerRecord:
+def _run_point(spec: SweepSpec, index: int) -> BerRecord:
+    alpha_index, ebn0_index = divmod(index, len(spec.ebn0_db))
     alpha_num, alpha_den = spec.alphas[alpha_index]
     ebn0 = spec.ebn0_db[ebn0_index]
     cfg = spec.config(alpha_num, alpha_den)
-    stream = alpha_index * len(spec.ebn0_db) + ebn0_index
-    gen = RandomSource(spec.seed, stream).generator()
+    gen = RandomSource(spec.seed, index).generator()
     params = StripeParams(spec.iterations)
 
     start = time.perf_counter()
@@ -222,13 +223,12 @@ def ber_sweep(spec: SweepSpec, workers: int = 1) -> list[BerRecord]:
     Records come back in grid order (alphas in spec order, Eb/N0 in spec
     order) and are bit-identical for any worker count.
     """
-    alpha_index = [ai for ai in range(len(spec.alphas)) for _ in spec.ebn0_db]
-    ebn0_index = list(range(len(spec.ebn0_db))) * len(spec.alphas)
-    args = ([spec] * len(alpha_index), alpha_index, ebn0_index)
+    run = functools.partial(_run_point, spec)
+    points = range(len(spec.alphas) * len(spec.ebn0_db))
     if workers <= 1:
-        return list(map(_run_point, *args))
+        return list(map(run, points))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_run_point, *args))
+        return list(pool.map(run, points))
 
 
 def db_penalty(records: list[BerRecord], target_ber: float) -> float:

@@ -1,14 +1,20 @@
 """CLI parsing, CSV contract, SVG plot contract."""
 
 import math
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sefdm
 from sefdm.cli import (
     CSV_HEADER,
     UsageError,
+    _parse_ebn0_range,
     emit_csv,
     emit_plot,
     main,
@@ -24,6 +30,26 @@ def _tiny_records(ebn0=(2.0, 4.0), decoder="stripe", alphas=((1, 2),)):
         decoder=decoder, min_bit_errors=20, max_symbol_periods=500, seed=3,
     )
     return ber_sweep(spec)
+
+
+def _run_python(args, cwd, timeout=60):
+    """Run a fresh interpreter that imports sefdm from this tree."""
+    src = str(Path(sefdm.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], cwd=cwd, env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=timeout,
+    )
+
+
+def _accumulated_range(start, stop, step):
+    """The grid as --ebn0 used to build it, by repeated addition."""
+    points = []
+    value = start
+    while value <= stop + 1e-9:
+        points.append(round(value, 9))
+        value += step
+    return tuple(points)
 
 
 class TestParseArgs:
@@ -92,6 +118,11 @@ class TestParseArgs:
     def test_malformed_ebn0_range(self):
         with pytest.raises(UsageError):
             parse_args("--carriers 8 --alpha 1/2 --ebn0 4:2".split())
+
+    @pytest.mark.parametrize("text", ["0:12:2", "0:1:0.1", "0:0.3:0.1", "-3:3:0.5", "5:5:1"])
+    def test_ebn0_range_matches_accumulated_grid(self, text):
+        start, stop, step = map(float, text.split(":"))
+        assert _parse_ebn0_range(text) == _accumulated_range(start, stop, step)
 
 
 class TestEmitCsv:
@@ -219,3 +250,35 @@ class TestMain:
         assert main(f"--carriers 8 --max-periods 50 --out {out} {args}".split()) == 2
         assert "error" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("grid", ["1e17:2e17:1", "0:1e9:1e-3", "-1e308:1e308:1"])
+    def test_overlong_ebn0_range_is_a_usage_error(self, grid, tmp_path):
+        # In a subprocess with a timeout, so that a grid loop that never ends fails.
+        result = _run_python(
+            ["-m", "sefdm.cli", "--carriers", "8", "--alpha", "1/2", f"--ebn0={grid}",
+             "--out", "run.csv"],
+            cwd=tmp_path, timeout=10,
+        )
+        assert result.returncode == 2, result.stderr
+        assert "error" in result.stderr
+        assert not (tmp_path / "run.csv").exists()
+
+
+def test_runs_without_scipy(tmp_path):
+    """The package, its CLI and a sweep import nothing from scipy."""
+    code = """
+import sys
+sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+import sefdm, sefdm.cli
+from sefdm.harness import SweepSpec, ber_sweep, theoretical_ber, theory_ebn0_db
+assert 0.0 < theoretical_ber(4.0, sefdm.QAM4) < 0.5
+assert theory_ebn0_db(1e-3) > 0.0
+(record,) = ber_sweep(SweepSpec(
+    carriers=4, samples=4, alphas=((1, 2),), ebn0_db=(4.0,), max_symbol_periods=16,
+))
+assert record.bits == 16 * 8
+assert sys.modules["scipy"] is None
+assert not [name for name in sys.modules if name.startswith("scipy.")]
+"""
+    result = _run_python(["-c", code], cwd=tmp_path)
+    assert result.returncode == 0, result.stderr

@@ -78,6 +78,18 @@ class TestTheoreticalBer:
             db = theory_ebn0_db(target)
             assert theoretical_ber(db, BPSK) == pytest.approx(target, rel=1e-9)
 
+    def test_matches_scipy_erfc(self):
+        special = pytest.importorskip("scipy.special")
+        for db in np.linspace(-10.0, 20.0, 301).tolist():
+            reference = 0.5 * special.erfc(math.sqrt(10.0 ** (db / 10.0)))
+            assert theoretical_ber(db, QAM4) == pytest.approx(reference, rel=1e-13, abs=0.0)
+
+    def test_inverse_matches_scipy_erfcinv(self):
+        special = pytest.importorskip("scipy.special")
+        for target in np.geomspace(1e-12, 0.4, 241).tolist():
+            reference = 10.0 * math.log10(special.erfcinv(2.0 * target) ** 2)
+            assert theory_ebn0_db(target) == pytest.approx(reference, rel=0.0, abs=1e-12)
+
 
 class TestConfidenceInterval:
     def test_rule_of_three(self):
