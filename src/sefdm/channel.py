@@ -58,18 +58,18 @@ def _sinc(x):
     return np.pi * np.sinc(x)
 
 
-def interference_continuous(n: int, m: int, alpha: float, s_n: complex = 1.0) -> complex:
-    """Leakage from carrier n onto carrier m for the continuous-time signal."""
+def interference_continuous(n: int, m: int, alpha: float) -> complex:
+    """Leakage of a unit symbol on carrier n onto carrier m for the
+    continuous-time signal."""
     if n == m:
         raise DomainError("interference is defined for distinct carriers only")
     x = (n - m) * alpha
-    return complex(s_n * (_sinc(x) / np.pi) * np.exp(1j * np.pi * x))
+    return complex((_sinc(x) / np.pi) * np.exp(1j * np.pi * x))
 
 
-def interference_discrete(
-    n: int, m: int, alpha: float, n_samples: int, s_n: complex = 1.0
-) -> complex:
-    """Leakage from carrier n onto carrier m when sampled M times per period.
+def interference_discrete(n: int, m: int, alpha: float, n_samples: int) -> complex:
+    """Leakage of a unit symbol on carrier n onto carrier m when sampled M
+    times per period.
 
     This is the exact leakage of the M-sample carrier matrix: the row inner
     product C[n] . conj(C[m]) / M of ``carrier_matrix``. It tends to
@@ -86,4 +86,4 @@ def interference_discrete(
         raise DomainError("sample count must be positive")
     x = (n - m) * alpha
     magnified = _sinc(x) / _sinc(x / n_samples)
-    return complex(s_n * magnified * np.exp(1j * np.pi * x * (n_samples - 1) / n_samples))
+    return complex(magnified * np.exp(1j * np.pi * x * (n_samples - 1) / n_samples))

@@ -94,13 +94,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_ebn0_values(argv) -> list[str]:
+    """Join ``--ebn0 V`` into ``--ebn0=V``, and ``--ebn0-list V`` alike, so that
+    a grid starting below zero (``-3:3:1``) reaches argparse as a value, not
+    an option. A V that begins with ``--`` is left for argparse to reject."""
+    argv, joined = list(argv), []
+    while argv:
+        arg = argv.pop(0)
+        if arg in ("--ebn0", "--ebn0-list") and argv and not argv[0].startswith("--"):
+            arg = f"{arg}={argv.pop(0)}"
+        joined.append(arg)
+    return joined
+
+
 def parse_args(argv) -> CliConfig:
     """Parse argv into a CliConfig; raises UsageError or SystemExit.
 
     Only the text is checked here: SweepSpec and SefdmConfig validate the
     values, and their ValueError becomes a UsageError.
     """
-    args = _build_parser().parse_args(argv)
+    args = _build_parser().parse_args(_join_ebn0_values(argv))
     if args.oversample is not None:
         samples = args.oversample * args.carriers
     elif args.samples is not None:

@@ -15,16 +15,15 @@ Branch k carries the carrier group K = {k, k + c, k + 2c, ...}, whose carriers
 sit on distinct integer DFT bins, so G[K, K] = I. Cancelling the estimates of
 the other c-1 branches from r and demodulating branch k is then
 s_K <- y_K - sum over n not in K of s_n G[n, K]: one sweep is a block
-Gauss-Seidel pass over the c groups. The decoder keeps its state in
-branch-major carrier order (branch 0's carriers, then branch 1's, ...), so
-each K is a contiguous slice, and updates it in real arithmetic: on the float
-view [Re s_0, Im s_0, Re s_1, ...] one branch update is a single real matrix
-product with the (2N, 2|K|) real embedding of -G[:, K] (rows of K zeroed),
-plus y_K. Each update is truncated to the constellation bounding box; after
-every sweep the whole estimate vector is annealed in place toward the
-constellation with an inverse-square-distance "gravity" pull whose weight
-ramps linearly from 1/J to 1 over the J sweeps. The final vector is put back
-in carrier order and sliced to hard symbols.
+Gauss-Seidel pass over the c groups. The decoder keeps its state in carrier
+order, where branch k is the stride k::c, and updates it in real arithmetic:
+on the float view [Re s_0, Im s_0, Re s_1, ...] one branch update is a single
+real matrix product with the (2N, 2|K|) real embedding of -G[:, K] (rows of K
+zeroed), plus y_K, written back through the complex view s[:, k::c]. Each
+update is truncated to the constellation bounding box; after every sweep the
+whole estimate vector is annealed in place toward the constellation with an
+inverse-square-distance "gravity" pull whose weight ramps linearly from 1/J
+to 1 over the J sweeps. The final vector is sliced to hard symbols.
 
 The ML decoder minimises s G s^H - 2 Re(y . conj(s)) over every candidate
 symbol vector, in chunks whose working memory is bounded.
@@ -39,7 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import Alphabet, CapacityError, DimensionError, DomainError, SefdmConfig
-from .txmod import _branch_layout, carrier_matrix
+from .txmod import carrier_matrix
 
 # Squared-distance threshold under which a soft estimate counts as exactly on
 # a constellation point (distance < 1e-12).
@@ -114,10 +113,10 @@ def slice_symbols(est, alphabet: Alphabet):
 
 
 class _Branch(NamedTuple):
-    """One branch of the stripe sweep, on the float view of a branch-major
-    state: its columns, the real embedding of -G'[:, K], and clip bounds."""
+    """One branch of the stripe sweep: its carriers K, the real embedding of
+    -G'[:, K], and clip bounds."""
 
-    columns: slice  # the branch's [re, im, re, im, ...] columns
+    carriers: slice  # K = k::c
     weights: np.ndarray  # (2N, 2|K|)
     lo: np.ndarray  # (2|K|,) [re_lo, im_lo, re_lo, im_lo, ...]
     hi: np.ndarray  # (2|K|,) [re_hi, im_hi, re_hi, im_hi, ...]
@@ -128,8 +127,6 @@ class _MatchedFilter(NamedTuple):
 
     matched: np.ndarray  # (M, N) C^H / M, so that y = r @ matched
     gram: np.ndarray  # (N, N) G = C C^H / M
-    order: np.ndarray  # branch-major position -> carrier
-    inverse: np.ndarray  # carrier -> branch-major position
     branches: tuple[_Branch, ...]
 
 
@@ -138,35 +135,31 @@ def _matched_filter(cfg: SefdmConfig) -> _MatchedFilter:
     matrix = carrier_matrix(cfg)
     matched = np.ascontiguousarray(matrix.conj().T) / cfg.n_samples
     gram = matrix @ matched
-    groups = [_branch_layout(k, cfg)[1] for k in range(cfg.alpha_den)]
-    order = np.concatenate(groups)
-    permuted = gram[np.ix_(order, order)]
     re_lo, re_hi, im_lo, im_hi = cfg.alphabet.bounding_box
     branches = []
-    start = 0
-    for carriers in groups:
-        stop = start + len(carriers)
+    for k in range(cfg.alpha_den):
+        carriers = slice(k, None, cfg.alpha_den)
         # G'[:, K]: rows of K zeroed, so that y_K - s @ G'[:, K] cancels every
         # other branch. With s = a + ib and -G' = P + iQ, the float view
         # [a_0, b_0, a_1, ...] times [[P, Q], [-Q, P]], interleaved, is the
         # interleaved -s @ G'[:, K].
-        others = -permuted[:, start:stop]
-        others[start:stop] = 0
-        weights = np.empty((2 * cfg.n_carriers, 2 * (stop - start)))
+        others = -gram[:, carriers]
+        others[carriers] = 0
+        width = others.shape[1]
+        weights = np.empty((2 * cfg.n_carriers, 2 * width))
         weights[0::2, 0::2] = others.real
         weights[0::2, 1::2] = others.imag
         weights[1::2, 0::2] = -others.imag
         weights[1::2, 1::2] = others.real
         branches.append(
             _Branch(
-                slice(2 * start, 2 * stop),
+                carriers,
                 weights,
-                np.tile([re_lo, im_lo], stop - start),
-                np.tile([re_hi, im_hi], stop - start),
+                np.tile([re_lo, im_lo], width),
+                np.tile([re_hi, im_hi], width),
             )
         )
-        start = stop
-    return _MatchedFilter(matched, gram, order, np.argsort(order), tuple(branches))
+    return _MatchedFilter(matched, gram, tuple(branches))
 
 
 def _matched_outputs(r, cfg: SefdmConfig) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -206,23 +199,19 @@ def _stripe_batch(y: np.ndarray, cfg: SefdmConfig, params: StripeParams) -> np.n
     """Run J sweeps over a (B, N) batch of matched-filter outputs; returns
     (B, N) soft estimates."""
     total_iter = params.iterations
-    front = _matched_filter(cfg)
-    # The state runs in branch-major order, so each branch is a column slice
-    # of its float view; it is put back in carrier order on return.
-    y_float = y.take(front.order, axis=1).view(float)
     s_hat = np.zeros_like(y)
     s_float = s_hat.view(float)
     # Contiguous per-branch operands: a ufunc over contiguous arrays runs as
     # one flat loop, where a strided or broadcast operand loops row by row.
     sweep = [
         (
-            np.ascontiguousarray(y_float[:, b.columns]),
-            s_float[:, b.columns],
+            np.ascontiguousarray(y[:, b.carriers]).view(float),
+            s_hat[:, b.carriers],
             b.weights,
             np.tile(b.lo, (len(y), 1)),
             np.tile(b.hi, (len(y), 1)),
         )
-        for b in front.branches
+        for b in _matched_filter(cfg).branches
     ]
     for j in range(1, total_iter + 1):
         # The updated branch is visible to the remaining k within this sweep.
@@ -232,12 +221,12 @@ def _stripe_batch(y: np.ndarray, cfg: SefdmConfig, params: StripeParams) -> np.n
             # Truncation to the bounding box: min(max(est, lo), hi), as np.clip.
             np.maximum(est, lo, out=est)
             np.minimum(est, hi, out=est)
-            s_k[...] = est
+            s_k[...] = est.view(complex)
         pulled = gravity(s_hat, cfg.alphabet)
         s_hat *= total_iter - j
         s_hat /= total_iter
         s_hat += (j / total_iter) * pulled
-    return s_hat.take(front.inverse, axis=1)
+    return s_hat
 
 
 def ml_capacity(cfg: SefdmConfig) -> int:

@@ -48,13 +48,6 @@ def rotation_vector(k: int, cfg: SefdmConfig) -> np.ndarray:
     )
 
 
-@lru_cache(maxsize=256)
-def _branch_layout(k: int, cfg: SefdmConfig) -> tuple[np.ndarray, np.ndarray]:
-    """(DFT bins, original symbol indices) carrying data on branch k."""
-    syms = np.arange(k, cfg.n_carriers, cfg.alpha_den, dtype=np.intp)
-    return _read_only(syms // cfg.alpha_den * cfg.alpha_num), _read_only(syms)
-
-
 def _check_symbols(s, cfg: SefdmConfig) -> np.ndarray:
     s = np.asarray(s, dtype=complex)
     if s.shape[-1] != cfg.n_carriers:
@@ -81,10 +74,12 @@ def modulate_interleaved(s, cfg: SefdmConfig) -> np.ndarray:
     s = _check_symbols(s, cfg)
     flat = s.reshape(-1, cfg.n_carriers)
     m_samp = cfg.n_samples
+    b, c = cfg.alpha_num, cfg.alpha_den
     u = np.zeros((flat.shape[0], m_samp), dtype=complex)
-    for k in range(cfg.alpha_den):
-        bins, syms = _branch_layout(k, cfg)
+    for k in range(c):
+        # Branch k carries carriers k::c on bins 0, b, 2b, ...
+        carriers = flat[:, k::c]
         spectrum = np.zeros_like(u)
-        spectrum[:, bins] = flat[:, syms]
+        spectrum[:, : carriers.shape[1] * b : b] = carriers
         u += np.fft.ifft(spectrum, axis=1) * m_samp * rotation_vector(k, cfg)
     return u.reshape(s.shape[:-1] + (m_samp,))

@@ -106,8 +106,11 @@ class TestParseArgs:
         assert cfg.spec.decoder == "ml"
 
     def test_unknown_flag_exits(self):
-        with pytest.raises(SystemExit):
-            parse_args("--carriers 8 --alpha 1/2 --ebn0-list 4 --bogus 1".split())
+        # an unknown flag, and a flag where the Eb/N0 grid belongs
+        for args in ["--ebn0-list 4 --bogus 1", "--ebn0 --decoder ml"]:
+            with pytest.raises(SystemExit) as exc:
+                parse_args(f"--carriers 8 --alpha 1/2 {args}".split())
+            assert exc.value.code == 2
 
     def test_samples_oversample_exclusive(self):
         with pytest.raises(SystemExit):
@@ -118,6 +121,14 @@ class TestParseArgs:
     def test_malformed_ebn0_range(self):
         with pytest.raises(UsageError):
             parse_args("--carriers 8 --alpha 1/2 --ebn0 4:2".split())
+
+    def test_negative_ebn0_range_as_separate_argument(self):
+        cfg = parse_args("--carriers 8 --alpha 1/2 --ebn0 -3:3:1".split())
+        assert cfg.spec.ebn0_db == (-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0)
+
+    def test_negative_ebn0_list_as_separate_argument(self):
+        cfg = parse_args("--carriers 8 --alpha 1/2 --ebn0-list -2,0".split())
+        assert cfg.spec.ebn0_db == (-2.0, 0.0)
 
     @pytest.mark.parametrize("text", ["0:12:2", "0:1:0.1", "0:0.3:0.1", "-3:3:0.5", "5:5:1"])
     def test_ebn0_range_matches_accumulated_grid(self, text):
@@ -222,6 +233,14 @@ class TestMain:
         assert rc == 0
         assert (tmp_path / "run.csv").exists()
         assert (tmp_path / "run.svg").exists()
+
+    def test_negative_ebn0_grid(self, tmp_path):
+        out = tmp_path / "run.csv"
+        rc = main(
+            f"--carriers 8 --alpha 1/2 --ebn0 -3:3:1 --max-periods 8 --out {out}".split()
+        )
+        assert rc == 0
+        assert [r.ebn0_db for r in read_csv(out)] == [-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0]
 
     def test_usage_error_exit_code(self, capsys):
         assert main("--carriers 8 --alpha 2/4 --ebn0-list 4".split()) == 2

@@ -18,7 +18,6 @@ from sefdm import (
     rotation_vector,
 )
 from sefdm import detect
-from sefdm.txmod import _branch_layout
 from strategies import configs
 
 
@@ -67,10 +66,8 @@ class TestCachedArrays:
         [
             carrier_matrix,
             lambda cfg: rotation_vector(1, cfg),
-            lambda cfg: _branch_layout(1, cfg)[0],
-            lambda cfg: _branch_layout(1, cfg)[1],
         ],
-        ids=["carrier_matrix", "rotation_vector", "branch_bins", "branch_carriers"],
+        ids=["carrier_matrix", "rotation_vector"],
     )
     def test_read_only(self, get):
         cfg = SefdmConfig(6, 12, 2, 3, QAM4)
@@ -105,40 +102,26 @@ class TestModulateDirect:
 
 
 class TestPartitionMerge:
-    """The partition of the carriers into the c interleaved branch groups, and
-    the decoder's branch-major order built from it."""
+    """The partition of the carriers into the c interleaved branch groups
+    K = k::c, as the stripe decoder's branches hold it."""
+
+    @staticmethod
+    def _groups(cfg):
+        carriers = np.arange(cfg.n_carriers)
+        return [carriers[b.carriers].tolist() for b in detect._matched_filter(cfg).branches]
 
     def test_alpha_half(self):
-        cfg = SefdmConfig(4, 4, 1, 2, QAM4)
-        for k, carriers in enumerate([[0, 2], [1, 3]]):
-            bins, syms = _branch_layout(k, cfg)
-            assert syms.tolist() == carriers
-            assert bins.tolist() == [0, 1]
+        assert self._groups(SefdmConfig(4, 4, 1, 2, QAM4)) == [[0, 2], [1, 3]]
 
     def test_alpha_three_quarters(self):
-        cfg = SefdmConfig(4, 4, 3, 4, QAM4)
-        for k in range(4):
-            bins, syms = _branch_layout(k, cfg)
-            assert syms.tolist() == [k]
-            assert bins.tolist() == [0]
-
-    @pytest.mark.parametrize("n,m,b,c", [(4, 4, 1, 2), (4, 4, 3, 4), (16, 16, 5, 6), (7, 12, 2, 3)])
-    def test_round_trip(self, n, m, b, c):
-        # branch-major order lists branch 0's carriers, then branch 1's, ...;
-        # its inverse puts a vector back in carrier order
-        cfg = SefdmConfig(n, m, b, c, QAM4)
-        front = detect._matched_filter(cfg)
-        s = _random_symbols(cfg, RandomSource(2).generator())
-        assert np.array_equal(front.order, np.concatenate([np.arange(k, n, c) for k in range(c)]))
-        assert np.array_equal(s[front.order][front.inverse], s)
+        assert self._groups(SefdmConfig(4, 4, 3, 4, QAM4)) == [[0], [1], [2], [3]]
 
     def test_every_symbol_appears_once(self):
         # every carrier lies in exactly one branch group, the group of its index mod c
-        cfg = SefdmConfig(10, 12, 5, 6, QAM4)
-        groups = [_branch_layout(k, cfg)[1] for k in range(6)]
-        assert sorted(np.concatenate(groups).tolist()) == list(range(10))
+        groups = self._groups(SefdmConfig(10, 12, 5, 6, QAM4))
+        assert sorted(sum(groups, [])) == list(range(10))
         for k, carriers in enumerate(groups):
-            assert (carriers % 6 == k).all()
+            assert all(n % 6 == k for n in carriers)
 
 
 class TestModulateInterleaved:
@@ -188,16 +171,18 @@ class TestModulateInterleaved:
         assert rotation_vector(0, cfg) == pytest.approx(np.ones(12))
 
     def test_single_subsystem_input_is_additive(self):
-        # branch 0 alone is plain OFDM on its bins: its rotation is the identity
-        cfg = SefdmConfig(12, 12, 5, 6, QAM4)
-        gen = RandomSource(7).generator()
-        s = _random_symbols(cfg, gen)
-        s0 = s.copy()
-        s0[[i for i in range(12) if i % 6 != 0]] = 0  # subsystem 0 only
-        bins, syms = _branch_layout(0, cfg)
-        spectrum = np.zeros(12, complex)
-        spectrum[bins] = s0[syms]
-        assert modulate_interleaved(s0, cfg) == pytest.approx(np.fft.ifft(spectrum) * 12)
+        # branch k alone is plain OFDM on bins 0, b, 2b, ..., rotated by r(k);
+        # branch 0's rotation is the identity
+        for n, m, b, c in [(12, 12, 5, 6), (9, 15, 2, 3)]:
+            cfg = SefdmConfig(n, m, b, c, QAM4)
+            s = _random_symbols(cfg, RandomSource(7).generator())
+            for k in range(c):
+                s_k = np.zeros(n, complex)
+                s_k[k::c] = s[k::c]  # subsystem k only
+                spectrum = np.zeros(m, complex)
+                spectrum[np.arange(len(s[k::c])) * b] = s[k::c]
+                expected = np.fft.ifft(spectrum) * m * rotation_vector(k, cfg)
+                assert modulate_interleaved(s_k, cfg) == pytest.approx(expected)
 
     def test_linearity(self):
         cfg = SefdmConfig(9, 15, 2, 3, QAM4)
