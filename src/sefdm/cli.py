@@ -94,14 +94,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _join_ebn0_values(argv) -> list[str]:
+def _join_ebn0_values(argv, parser: argparse.ArgumentParser) -> list[str]:
     """Join ``--ebn0 V`` into ``--ebn0=V``, and ``--ebn0-list V`` alike, so that
     a grid starting below zero (``-3:3:1``) reaches argparse as a value, not
-    an option. A V that begins with ``--`` is left for argparse to reject."""
+    an option. ``--ebn0`` must be exact; ``--ebn0-list`` may be abbreviated to
+    any prefix that argparse resolves to it, one that begins no other option.
+    A V that begins with ``--`` is left for argparse to reject."""
+    options = parser._option_string_actions  # what argparse matches prefixes against
+
+    def takes_grid(arg: str) -> bool:
+        return arg == "--ebn0" or (
+            arg.startswith("--") and [o for o in options if o.startswith(arg)] == ["--ebn0-list"]
+        )
+
     argv, joined = list(argv), []
     while argv:
         arg = argv.pop(0)
-        if arg in ("--ebn0", "--ebn0-list") and argv and not argv[0].startswith("--"):
+        if takes_grid(arg) and argv and not argv[0].startswith("--"):
             arg = f"{arg}={argv.pop(0)}"
         joined.append(arg)
     return joined
@@ -113,7 +122,8 @@ def parse_args(argv) -> CliConfig:
     Only the text is checked here: SweepSpec and SefdmConfig validate the
     values, and their ValueError becomes a UsageError.
     """
-    args = _build_parser().parse_args(_join_ebn0_values(argv))
+    parser = _build_parser()
+    args = parser.parse_args(_join_ebn0_values(argv, parser))
     if args.oversample is not None:
         samples = args.oversample * args.carriers
     elif args.samples is not None:
@@ -295,6 +305,10 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"sefdm: error: {exc}", file=sys.stderr)
         return 2
+    except SystemExit as exc:  # argparse has printed its usage error, or --help
+        if not exc.code:
+            raise
+        return exc.code
 
     try:
         records = ber_sweep(config.spec)

@@ -106,8 +106,9 @@ class TestParseArgs:
         assert cfg.spec.decoder == "ml"
 
     def test_unknown_flag_exits(self):
-        # an unknown flag, and a flag where the Eb/N0 grid belongs
-        for args in ["--ebn0-list 4 --bogus 1", "--ebn0 --decoder ml"]:
+        # an unknown flag, a flag where the Eb/N0 grid belongs, and a prefix
+        # of both --ebn0 and --ebn0-list
+        for args in ["--ebn0-list 4 --bogus 1", "--ebn0 --decoder ml", "--ebn -2,0"]:
             with pytest.raises(SystemExit) as exc:
                 parse_args(f"--carriers 8 --alpha 1/2 {args}".split())
             assert exc.value.code == 2
@@ -128,6 +129,11 @@ class TestParseArgs:
 
     def test_negative_ebn0_list_as_separate_argument(self):
         cfg = parse_args("--carriers 8 --alpha 1/2 --ebn0-list -2,0".split())
+        assert cfg.spec.ebn0_db == (-2.0, 0.0)
+
+    @pytest.mark.parametrize("flag", ["--ebn0-l -2,0", "--ebn0-li=-2,0", "--ebn0- -2,0"])
+    def test_abbreviated_negative_ebn0_list(self, flag):
+        cfg = parse_args(f"--carriers 8 --alpha 1/2 {flag}".split())
         assert cfg.spec.ebn0_db == (-2.0, 0.0)
 
     @pytest.mark.parametrize("text", ["0:12:2", "0:1:0.1", "0:0.3:0.1", "-3:3:0.5", "5:5:1"])
@@ -245,6 +251,18 @@ class TestMain:
     def test_usage_error_exit_code(self, capsys):
         assert main("--carriers 8 --alpha 2/4 --ebn0-list 4".split()) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_argparse_error_exit_code(self, capsys):
+        # argparse's own usage errors are returned like the others, not raised
+        assert main("--carriers 8 --alpha 1/2 --ebn0 --decoder ml".split()) == 2
+        assert main("--carriers 8 --alpha 1/2 --ebn0-list 4 --bogus 1".split()) == 2
+        assert "error" in capsys.readouterr().err
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert "usage" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "args",

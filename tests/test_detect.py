@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sefdm import (
@@ -174,6 +174,17 @@ class TestGravity:
         assert np.max(np.abs(np.asarray(pulled) - reference), initial=0.0) <= 1e-12
         hits = np.asarray(kind <= 2)
         assert np.array_equal(np.asarray(pulled)[hits], near[hits])
+
+    def test_bpsk_pull_is_gravity_on_the_real_line(self):
+        # The decoder's BPSK state is real; its pull 2x / (1 + x^2) must be
+        # gravity toward +-1, exact points and near misses included.
+        edges = [1.0, -1.0, 1 + 1e-13, 1 - 1e-13, -1 + 1e-13, -1 - 1e-13, 0.0, -0.0]
+        wide = [0.5, -0.5, 1.5, -1.5, 3.0, -7.0, 1e3, -1e6, 1e-300]
+        x = np.concatenate([edges, wide, RandomSource(31).generator().uniform(-4, 4, 500)])
+        pulled = detect._pull_bpsk(x)
+        assert pulled.dtype == float
+        assert np.max(np.abs(pulled - _reference_gravity(x, BPSK))) <= 1e-15
+        assert pulled[0] == 1.0 and pulled[1] == -1.0
 
 
 class TestTruncate:
@@ -368,13 +379,23 @@ class TestMatchedFilterDomain:
         seed=st.integers(0, 2**32 - 1),
         ebn0_db=st.one_of(st.just(math.inf), st.floats(0.0, 15.0)),
     )
+    # BPSK runs on N reals: gate 06's shape, an M that is not a multiple of c,
+    # and c > N, so that branches 3 and 4 carry no carrier.
+    @example(cfg=SefdmConfig(64, 64, 1, 2, BPSK), seed=60, ebn0_db=6.0)
+    @example(cfg=SefdmConfig(64, 64, 1, 2, BPSK), seed=61, ebn0_db=math.inf)
+    @example(cfg=SefdmConfig(10, 23, 3, 4, BPSK), seed=62, ebn0_db=3.0)
+    @example(cfg=SefdmConfig(3, 4, 1, 5, BPSK), seed=63, ebn0_db=3.0)
     def test_stripe_agrees_with_time_domain_reference(self, cfg, seed, ebn0_db):
         gen = RandomSource(seed).generator()
         s = bits_to_symbols(gen.integers(0, 2, size=(8, cfg.bits_per_block)), cfg.alphabet)
         r = add_awgn(modulate_interleaved(s, cfg), NoiseSpec.from_config(ebn0_db, cfg), gen)
         reference = _reference_stripe_batch(r, cfg, StripeParams())
-        assert np.max(np.abs(stripe_decode_soft(r, cfg) - reference)) <= 1e-9
+        soft = stripe_decode_soft(r, cfg)
+        assert soft.dtype == complex
+        assert np.max(np.abs(soft - reference)) <= 1e-9
         assert np.array_equal(stripe_decode(r, cfg), slice_symbols(reference, cfg.alphabet))
+        if cfg.alphabet == BPSK:
+            assert not soft.imag.any()
 
     @settings(max_examples=100, deadline=None)
     @given(cfg=configs())
