@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import math
+import re
 import sys
 import typing
 from dataclasses import astuple, dataclass, fields
@@ -70,6 +71,12 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sefdm", description="SEFDM Monte Carlo BER sweep runner"
     )
+    # Read any argument that begins with "-" and a digit, or "-." and a digit,
+    # as a value, so that a grid below zero (--ebn0 -3:3:1, --ebn0-list -2,0)
+    # needs no "=". argparse consults this pattern only while no option string
+    # matches it; this parser's options all begin with "--" or are -h, so
+    # _has_negative_number_optionals stays empty.
+    parser._negative_number_matcher = re.compile(r"-\.?\d")
     parser.add_argument("--carriers", type=int, required=True, metavar="N")
     samples = parser.add_mutually_exclusive_group()
     samples.add_argument("--samples", type=int, metavar="M")
@@ -94,36 +101,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _join_ebn0_values(argv, parser: argparse.ArgumentParser) -> list[str]:
-    """Join ``--ebn0 V`` into ``--ebn0=V``, and ``--ebn0-list V`` alike, so that
-    a grid starting below zero (``-3:3:1``) reaches argparse as a value, not
-    an option. ``--ebn0`` must be exact; ``--ebn0-list`` may be abbreviated to
-    any prefix that argparse resolves to it, one that begins no other option.
-    A V that begins with ``--`` is left for argparse to reject."""
-    options = parser._option_string_actions  # what argparse matches prefixes against
-
-    def takes_grid(arg: str) -> bool:
-        return arg == "--ebn0" or (
-            arg.startswith("--") and [o for o in options if o.startswith(arg)] == ["--ebn0-list"]
-        )
-
-    argv, joined = list(argv), []
-    while argv:
-        arg = argv.pop(0)
-        if takes_grid(arg) and argv and not argv[0].startswith("--"):
-            arg = f"{arg}={argv.pop(0)}"
-        joined.append(arg)
-    return joined
-
-
 def parse_args(argv) -> CliConfig:
     """Parse argv into a CliConfig; raises UsageError or SystemExit.
 
-    Only the text is checked here: SweepSpec and SefdmConfig validate the
-    values, and their ValueError becomes a UsageError.
+    Only the text and the --out directory are checked here: SweepSpec and
+    SefdmConfig validate the values, and their ValueError becomes a UsageError.
     """
     parser = _build_parser()
-    args = parser.parse_args(_join_ebn0_values(argv, parser))
+    args = parser.parse_args(argv)
+    out_dir = Path(args.out).parent
+    if not out_dir.is_dir():
+        raise UsageError(f"--out {args.out!r}: {str(out_dir)!r} is not a directory")
     if args.oversample is not None:
         samples = args.oversample * args.carriers
     elif args.samples is not None:
@@ -189,15 +177,20 @@ def emit_plot(records: list[BerRecord], path) -> None:
 
     One polyline per (decoder, alpha) curve plus the theoretical reference;
     zero-error points are left out of the polylines and marked with crosses
-    on the lower axis.
+    on the lower axis. The Eb/N0 ticks span the finite points; +inf points sit
+    at the right end of the axis, under a tick labelled inf.
     """
     if not records:
         raise ValueError("no records to plot")
     records = _sorted_records(records)
     x_vals = [r.ebn0_db for r in records]
-    x_min, x_max = min(x_vals), max(x_vals)
+    has_inf = math.inf in x_vals
+    finite = [x for x in x_vals if math.isfinite(x)] or [0.0]
+    x_min, x_max = min(finite), max(finite)
     if x_max == x_min:
         x_max = x_min + 1.0
+    x_end = _WIDTH - _MARGIN_R
+    x_right = x_end - (x_end - _MARGIN_L) / 8 if has_inf else x_end  # right of the finite span
     positive = [r.ber for r in records if r.ber > 0]
     alphabet = get_alphabet(records[0].alphabet)
     theory = [
@@ -210,8 +203,10 @@ def emit_plot(records: list[BerRecord], path) -> None:
     log_max = 0
 
     def sx(db: float) -> float:
+        if db == math.inf:
+            return x_end
         frac = (db - x_min) / (x_max - x_min)
-        return _MARGIN_L + frac * (_WIDTH - _MARGIN_L - _MARGIN_R)
+        return _MARGIN_L + frac * (x_right - _MARGIN_L)
 
     def sy(ber: float) -> float:
         logv = min(max(math.log10(ber), log_min), log_max)
@@ -226,14 +221,16 @@ def emit_plot(records: list[BerRecord], path) -> None:
     # axes
     x0, y0 = _MARGIN_L, _HEIGHT - _MARGIN_B
     parts.append(
-        f'<line x1="{x0}" y1="{y0}" x2="{_WIDTH - _MARGIN_R}" y2="{y0}" stroke="black"/>'
+        f'<line x1="{x0}" y1="{y0}" x2="{x_end}" y2="{y0}" stroke="black"/>'
     )
     parts.append(f'<line x1="{x0}" y1="{y0}" x2="{x0}" y2="{_MARGIN_T}" stroke="black"/>')
-    for tick in _linspace(x_min, x_max, 7):
-        px = sx(tick)
+    ticks = [(sx(tick), f"{tick:g}") for tick in _linspace(x_min, x_max, 7)]
+    if has_inf:
+        ticks.append((x_end, "inf"))
+    for px, label in ticks:
         parts.append(f'<line x1="{px:.1f}" y1="{y0}" x2="{px:.1f}" y2="{y0 + 5}" stroke="black"/>')
         parts.append(
-            f'<text x="{px:.1f}" y="{y0 + 20}" font-size="11" text-anchor="middle">{tick:g}</text>'
+            f'<text x="{px:.1f}" y="{y0 + 20}" font-size="11" text-anchor="middle">{label}</text>'
         )
     for decade in range(log_min, log_max + 1):
         py = sy(10.0**decade)
@@ -317,14 +314,18 @@ def main(argv=None) -> int:
         return 1
 
     out = Path(config.out)
-    if config.fmt == "csv":
-        emit_csv(records, out)
-    elif config.fmt == "svg":
-        emit_plot(records, out)
-    else:
-        base = out.with_suffix("") if out.suffix else out
-        emit_csv(records, base.with_suffix(".csv"))
-        emit_plot(records, base.with_suffix(".svg"))
+    try:
+        if config.fmt == "csv":
+            emit_csv(records, out)
+        elif config.fmt == "svg":
+            emit_plot(records, out)
+        else:
+            base = out.with_suffix("") if out.suffix else out
+            emit_csv(records, base.with_suffix(".csv"))
+            emit_plot(records, base.with_suffix(".svg"))
+    except OSError as exc:
+        print(f"sefdm: cannot write output: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

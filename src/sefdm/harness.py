@@ -66,6 +66,8 @@ class SweepSpec:
             raise ValueError("stop rule must be positive")
         if not self.alphas or not self.ebn0_db:
             raise ValueError("the alpha and Eb/N0 grids must not be empty")
+        if len(set(self.alphas)) < len(self.alphas) or len(set(self.ebn0_db)) < len(self.ebn0_db):
+            raise ValueError("the alpha and Eb/N0 grids must not repeat a point")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         # StripeParams and NoiseSpec are built here for their input checks only.

@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -40,6 +41,17 @@ def _run_python(args, cwd, timeout=60):
         [sys.executable, *args], cwd=cwd, env={**os.environ, "PYTHONPATH": path},
         capture_output=True, text=True, timeout=timeout,
     )
+
+
+def _assert_finite_coordinates(path):
+    """Every number the SVG draws at parses as a finite float, and no tick reads nan."""
+    text = path.read_text(encoding="utf-8")
+    assert "nan" not in text
+    for element in ET.fromstring(text).iter():
+        for name, value in element.attrib.items():
+            if name in ("x", "y", "x1", "y1", "x2", "y2", "cx", "cy", "points", "d"):
+                numbers = [float(v) for v in re.split(r"[\s,]+", value) if v not in ("M", "L")]
+                assert all(map(math.isfinite, numbers)), (element.tag, name, value)
 
 
 def _accumulated_range(start, stop, step):
@@ -126,6 +138,8 @@ class TestParseArgs:
     def test_negative_ebn0_range_as_separate_argument(self):
         cfg = parse_args("--carriers 8 --alpha 1/2 --ebn0 -3:3:1".split())
         assert cfg.spec.ebn0_db == (-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0)
+        cfg = parse_args("--carriers 8 --alpha 1/2 --ebn0 -.5:1:0.5".split())
+        assert cfg.spec.ebn0_db == (-0.5, 0.0, 0.5, 1.0)
 
     def test_negative_ebn0_list_as_separate_argument(self):
         cfg = parse_args("--carriers 8 --alpha 1/2 --ebn0-list -2,0".split())
@@ -227,6 +241,14 @@ class TestEmitPlot:
         emit_plot(records, path)
         text = path.read_text(encoding="utf-8")
         assert "<path d=" in text  # distinct marker for the zero-error point
+        _assert_finite_coordinates(path)
+
+    def test_infinite_ebn0_at_right_end_of_axis(self, tmp_path):
+        path = tmp_path / "plot.svg"
+        emit_plot(_tiny_records(ebn0=(2.0, math.inf)), path)
+        _assert_finite_coordinates(path)
+        labels = [e.text for e in ET.parse(path).getroot().iter() if e.tag.endswith("text")]
+        assert labels.count("inf") == 1 and "2" in labels
 
 
 class TestMain:
@@ -247,6 +269,18 @@ class TestMain:
         )
         assert rc == 0
         assert [r.ebn0_db for r in read_csv(out)] == [-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0]
+
+    def test_out_in_missing_directory_fails_before_the_sweep(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("sefdm.cli.ber_sweep", lambda spec: pytest.fail("sweep ran"))
+        out = tmp_path / "missing" / "run.csv"
+        assert main(f"--carriers 8 --alpha 1/2 --ebn0-list 4 --out {out}".split()) == 2
+        assert not out.parent.exists()
+
+    def test_unwritable_out_is_reported_without_traceback(self, tmp_path, capsys):
+        rc = main(f"--carriers 8 --alpha 1/2 --ebn0-list 4 --max-periods 8 --out {tmp_path}".split())
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "cannot write" in err and "Traceback" not in err
 
     def test_usage_error_exit_code(self, capsys):
         assert main("--carriers 8 --alpha 2/4 --ebn0-list 4".split()) == 2
@@ -280,6 +314,11 @@ class TestMain:
             "--alpha 1/2 --ebn0-list 4 --oversample 0",
             "--alpha 0/1 --ebn0-list 4",
             "--alpha 1/0 --ebn0-list 4",
+            "--alpha 1/2 --ebn0-list -inf",
+            "--alpha -1/2 --ebn0-list 4",
+            "--alpha 1/2 --alpha 1/2 --ebn0-list 4",
+            "--alpha 1/2 --ebn0-list 4,4.0",
+            "--alpha 1/2 --ebn0 0:1e-9:1e-10",
         ],
     )
     def test_bad_sweep_is_a_usage_error(self, args, tmp_path, capsys):

@@ -45,7 +45,7 @@ def _small_specs(draw):
         carriers=carriers,
         samples=draw(st.integers(least, 2 * least)),
         alphas=tuple(alphas),
-        ebn0_db=tuple(draw(st.lists(st.floats(0.0, 10.0), min_size=1, max_size=2))),
+        ebn0_db=tuple(draw(st.lists(st.floats(0.0, 10.0), min_size=1, max_size=2, unique=True))),
         alphabet=draw(st.sampled_from(["bpsk", "qam4"])),
         decoder=decoder,
         iterations=draw(st.integers(1, 5)),
@@ -206,8 +206,12 @@ class TestBerSweep:
             self._small_spec(ebn0_db=(4.0, ebn0_db))
 
     @pytest.mark.parametrize(
-        "change", [{"alphas": ()}, {"ebn0_db": ()}, {"seed": -1}],
-        ids=["no-alpha", "no-ebn0", "negative-seed"],
+        "change",
+        [
+            {"alphas": ()}, {"ebn0_db": ()}, {"seed": -1},
+            {"alphas": ((1, 2), (1, 2))}, {"ebn0_db": (4.0, 0.0, 4.0)}, {"ebn0_db": (0.0, -0.0)},
+        ],
+        ids=["no-alpha", "no-ebn0", "negative-seed", "repeated-alpha", "repeated-ebn0", "signed-zero"],
     )
     def test_empty_grid_and_negative_seed_rejected(self, change):
         with pytest.raises(ValueError):
