@@ -28,7 +28,12 @@ to 1 over the J sweeps. The final vector is sliced to hard symbols.
 For BPSK the truncation pins every imaginary part to 0, so the state is N
 reals instead: the weights are Re(-G[:, K]) (the even rows and columns of the
 embedding), y_K is Re y[:, k::c], and gravity toward the points +-1 has the
-closed form 2x / (1 + x^2), which is exactly +-1 at +-1.
+closed form 2x / (1 + x^2), which is exactly +-1 at +-1. For QAM4, gravity
+toward +-1+-1j is closed too: with u = Re s, v = Im s and r = u^2 + v^2 + 2,
+Re = 2u (r^2 - 4(u^2 - v^2)) / (r (r^2 - 4r + 8)) and Im is the same with v
+for u and +4 for -4; truncation keeps r in [2, 4], so the denominator is at
+least 8, and each point maps exactly to itself. The public `gravity` remains
+the generic pull, used for every other alphabet.
 
 The ML decoder minimises s G s^H - 2 Re(y . conj(s)) over every candidate
 symbol vector, in chunks whose working memory is bounded.
@@ -42,7 +47,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import BPSK, Alphabet, CapacityError, DimensionError, DomainError, SefdmConfig
+from .core import BPSK, QAM4, Alphabet, CapacityError, DimensionError, DomainError, SefdmConfig
 from .txmod import carrier_matrix
 
 # Squared-distance threshold under which a soft estimate counts as exactly on
@@ -106,6 +111,38 @@ def _pull_bpsk(x: np.ndarray) -> np.ndarray:
     out += 1
     np.divide(x, out, out=out)
     out *= 2
+    return out
+
+
+def _pull_qam4(s: np.ndarray) -> np.ndarray:
+    """gravity toward the QAM4 points +-1+-1j for estimates in the bounding
+    box. With u = Re s, v = Im s, q = u^2 + v^2 and r = q + 2, the squared
+    distances are r - 2(+-u +- v), and the four weights sum to the centroid
+
+        Re = 2u (r^2 - 4(u^2 - v^2)) / (r (q^2 + 4))
+        Im = 2v (r^2 + 4(u^2 - v^2)) / (r (q^2 + 4)),
+
+    where q^2 + 4 = r^2 - 4r + 8 >= 4, so nothing divides by zero, and each
+    point maps exactly to itself."""
+    # No (P, B, N) distance workspace, and few ufunc calls: at 64 blocks a
+    # batch is bound by per-call overhead.
+    f = s.view(float)
+    num = f * f
+    u2, v2 = num[:, 0::2], num[:, 1::2]
+    scale = u2 + v2
+    r = scale + 2
+    scale *= scale
+    scale += 4
+    scale *= r
+    np.divide(2, scale, out=scale)
+    diff = u2 - v2
+    diff *= 4
+    r *= r
+    np.subtract(r, diff, out=u2)
+    np.add(r, diff, out=v2)
+    out = s * scale
+    out_float = out.view(float)
+    out_float *= num
     return out
 
 
@@ -218,7 +255,8 @@ def _stripe_batch(y: np.ndarray, cfg: SefdmConfig, params: StripeParams) -> np.n
     if cfg.alphabet == BPSK:
         s_hat, front, pull = np.zeros(y.shape), y.real, _pull_bpsk
     else:
-        s_hat, front, pull = np.zeros_like(y), y, lambda s: gravity(s, cfg.alphabet)
+        s_hat, front = np.zeros_like(y), y
+        pull = _pull_qam4 if cfg.alphabet == QAM4 else lambda s: gravity(s, cfg.alphabet)
     s_float = s_hat.view(float)
     # Contiguous per-branch operands: a ufunc over contiguous arrays runs as
     # one flat loop, where a strided or broadcast operand loops row by row.

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes
 
 from sefdm import (
     BPSK,
@@ -185,6 +186,35 @@ class TestGravity:
         assert pulled.dtype == float
         assert np.max(np.abs(pulled - _reference_gravity(x, BPSK))) <= 1e-15
         assert pulled[0] == 1.0 and pulled[1] == -1.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        shape=array_shapes(min_dims=2, max_dims=2, max_side=5),
+        seed=st.integers(0, 2**32 - 1),
+        corner=st.sampled_from(QAM4.points),
+        offset=st.sampled_from([0.0, 1e-13, 1e-8, 0.5, 1.0, 2.0]),
+    )
+    @example(shape=(1, 1), seed=0, corner=1 + 1j, offset=0.0)
+    @example(shape=(1, 1), seed=0, corner=-1 - 1j, offset=1e-13)
+    def test_qam4_pull_is_gravity_over_the_bounding_box(self, shape, seed, corner, offset):
+        # The decoder's QAM4 pull in closed form must be gravity toward
+        # +-1+-1j wherever truncation leaves an estimate. The first entry is
+        # the corner moved toward the origin by `offset` of its length (a near
+        # miss at 1e-13, the origin at 1, the opposite corner at 2), the last
+        # the midpoint of a box edge, and the rest uniform over the box.
+        gen = np.random.default_rng(seed)
+        est = gen.uniform(-1, 1, shape) + 1j * gen.uniform(-1, 1, shape)
+        est.flat[-1] = corner.real
+        est.flat[0] = corner * (1 - offset)
+        pulled = detect._pull_qam4(est)
+        assert pulled.dtype == complex and pulled.shape == shape
+        assert np.max(np.abs(pulled - _reference_gravity(est, QAM4))) <= 1e-12
+        if offset == 0.0:
+            assert pulled.flat[0] == corner
+
+    def test_qam4_pull_fixes_each_point_exactly(self):
+        points = np.tile(QAM4.points_array(), (3, 2))
+        assert np.array_equal(detect._pull_qam4(points), points)
 
 
 class TestTruncate:
