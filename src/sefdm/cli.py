@@ -104,14 +104,16 @@ def _build_parser() -> argparse.ArgumentParser:
 def parse_args(argv) -> CliConfig:
     """Parse argv into a CliConfig; raises UsageError or SystemExit.
 
-    Only the text and the --out directory are checked here: SweepSpec and
+    Only the text and the files --out names are checked here: SweepSpec and
     SefdmConfig validate the values, and their ValueError becomes a UsageError.
     """
     parser = _build_parser()
     args = parser.parse_args(argv)
-    out_dir = Path(args.out).parent
-    if not out_dir.is_dir():
-        raise UsageError(f"--out {args.out!r}: {str(out_dir)!r} is not a directory")
+    for path in _output_paths(args.out, args.format).values():
+        if not path.parent.is_dir():
+            raise UsageError(f"--out {args.out!r}: {str(path.parent)!r} is not a directory")
+        if path.is_dir():
+            raise UsageError(f"--out {args.out!r}: {str(path)!r} is a directory")
     if args.oversample is not None:
         samples = args.oversample * args.carriers
     elif args.samples is not None:
@@ -138,6 +140,18 @@ def parse_args(argv) -> CliConfig:
     except (ValueError, CapacityError) as exc:
         raise UsageError(str(exc)) from None
     return CliConfig(spec=spec, out=args.out, fmt=args.format)
+
+
+def _output_paths(out: str, fmt: str) -> dict[str, Path]:
+    """The file each format writes: --out itself for csv or svg; for both,
+    --out without its last suffix, plus .csv and plus .svg."""
+    path = Path(out)
+    if not path.name:  # "", ".", "/": no file name to write to
+        raise UsageError(f"--out {out!r} names no file")
+    if fmt != "both":
+        return {fmt: path}
+    base = path.with_suffix("") if path.suffix else path
+    return {"csv": base.with_suffix(".csv"), "svg": base.with_suffix(".svg")}
 
 
 def _sorted_records(records: list[BerRecord]) -> list[BerRecord]:
@@ -313,16 +327,10 @@ def main(argv=None) -> int:
         print(f"sefdm: simulation failed: {exc}", file=sys.stderr)
         return 1
 
-    out = Path(config.out)
+    emitters = {"csv": emit_csv, "svg": emit_plot}
     try:
-        if config.fmt == "csv":
-            emit_csv(records, out)
-        elif config.fmt == "svg":
-            emit_plot(records, out)
-        else:
-            base = out.with_suffix("") if out.suffix else out
-            emit_csv(records, base.with_suffix(".csv"))
-            emit_plot(records, base.with_suffix(".svg"))
+        for fmt, path in _output_paths(config.out, config.fmt).items():
+            emitters[fmt](records, path)
     except OSError as exc:
         print(f"sefdm: cannot write output: {exc}", file=sys.stderr)
         return 1

@@ -276,8 +276,49 @@ class TestMain:
         assert main(f"--carriers 8 --alpha 1/2 --ebn0-list 4 --out {out}".split()) == 2
         assert not out.parent.exists()
 
-    def test_unwritable_out_is_reported_without_traceback(self, tmp_path, capsys):
-        rc = main(f"--carriers 8 --alpha 1/2 --ebn0-list 4 --max-periods 8 --out {tmp_path}".split())
+    @pytest.mark.parametrize("fmt", ["csv", "svg", "both"])
+    def test_empty_out_fails_before_the_sweep(self, fmt, monkeypatch, capsys):
+        monkeypatch.setattr("sefdm.cli.ber_sweep", lambda spec: pytest.fail("sweep ran"))
+        argv = f"--carriers 8 --alpha 1/2 --ebn0-list 4 --format {fmt}".split()
+        assert main(argv + ["--out", ""]) == 2
+        assert "names no file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fmt", ["csv", "svg"])
+    def test_out_naming_a_directory_fails_before_the_sweep(self, fmt, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr("sefdm.cli.ber_sweep", lambda spec: pytest.fail("sweep ran"))
+        argv = f"--carriers 8 --alpha 1/2 --ebn0-list 4 --format {fmt} --out {tmp_path}"
+        assert main(argv.split()) == 2
+        assert "is a directory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("taken", ["run.csv", "run.svg"])
+    def test_both_checks_the_suffixed_paths(self, taken, tmp_path, monkeypatch, capsys):
+        # --format both writes run.csv and run.svg; either one being a
+        # directory is a usage error, and nothing is written.
+        monkeypatch.setattr("sefdm.cli.ber_sweep", lambda spec: pytest.fail("sweep ran"))
+        (tmp_path / taken).mkdir()
+        argv = f"--carriers 8 --alpha 1/2 --ebn0-list 4 --format both --out {tmp_path / 'run'}"
+        assert main(argv.split()) == 2
+        assert repr(str(tmp_path / taken)) in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == [taken]
+
+    def test_both_accepts_an_out_that_is_a_directory(self, tmp_path):
+        # Only the suffixed paths are written, so --out d next to a directory d is fine.
+        (tmp_path / "d").mkdir()
+        argv = f"--carriers 8 --alpha 1/2 --ebn0-list 4 --max-periods 8 --format both --out {tmp_path / 'd'}"
+        assert main(argv.split()) == 0
+        assert (tmp_path / "d.csv").is_file() and (tmp_path / "d.svg").is_file()
+
+    def test_unwritable_out_is_reported_without_traceback(self, tmp_path, monkeypatch, capsys):
+        # --out becomes a directory while the sweep runs, after parse_args checked it.
+        out = tmp_path / "run.csv"
+
+        def sweep_then_take_out(spec):
+            records = ber_sweep(spec)
+            out.mkdir()
+            return records
+
+        monkeypatch.setattr("sefdm.cli.ber_sweep", sweep_then_take_out)
+        rc = main(f"--carriers 8 --alpha 1/2 --ebn0-list 4 --max-periods 8 --out {out}".split())
         assert rc == 1
         err = capsys.readouterr().err
         assert "cannot write" in err and "Traceback" not in err
