@@ -150,7 +150,7 @@ def _output_paths(out: str, fmt: str) -> dict[str, Path]:
         raise UsageError(f"--out {out!r} names no file")
     if fmt != "both":
         return {fmt: path}
-    base = path.with_suffix("") if path.suffix else path
+    base = path.with_suffix("")
     return {"csv": base.with_suffix(".csv"), "svg": base.with_suffix(".svg")}
 
 

@@ -117,7 +117,7 @@ def _pull_bpsk(x: np.ndarray) -> np.ndarray:
 def _pull_qam4(s: np.ndarray) -> np.ndarray:
     """gravity toward the QAM4 points +-1+-1j for estimates in the bounding
     box. With u = Re s, v = Im s, q = u^2 + v^2 and r = q + 2, the squared
-    distances are r - 2(+-u +- v), and the four weights sum to the centroid
+    distances are r - 2(+-u +- v), and the inverse-square weighted centroid is
 
         Re = 2u (r^2 - 4(u^2 - v^2)) / (r (q^2 + 4))
         Im = 2v (r^2 + 4(u^2 - v^2)) / (r (q^2 + 4)),

@@ -12,6 +12,7 @@ from hypothesis.extra.numpy import array_shapes
 from sefdm import (
     BPSK,
     QAM4,
+    Alphabet,
     CapacityError,
     DimensionError,
     DomainError,
@@ -426,6 +427,19 @@ class TestMatchedFilterDomain:
         assert np.array_equal(stripe_decode(r, cfg), slice_symbols(reference, cfg.alphabet))
         if cfg.alphabet == BPSK:
             assert not soft.imag.any()
+
+    @pytest.mark.parametrize("ebn0_db", [6.0, math.inf])
+    def test_other_alphabets_take_the_generic_pull(self, ebn0_db):
+        # BPSK and QAM4 have closed-form pulls; any other alphabet is pulled
+        # by gravity, which must agree with the reference as well.
+        pam4 = Alphabet("pam4", (3 + 0j, 1 + 0j, -1 + 0j, -3 + 0j), ((0, 0), (0, 1), (1, 1), (1, 0)))
+        cfg = SefdmConfig(10, 12, 5, 6, pam4)
+        gen = RandomSource(64).generator()
+        s = bits_to_symbols(gen.integers(0, 2, size=(8, cfg.bits_per_block)), pam4)
+        r = add_awgn(modulate_interleaved(s, cfg), NoiseSpec.from_config(ebn0_db, cfg), gen)
+        reference = _reference_stripe_batch(r, cfg, StripeParams())
+        assert np.max(np.abs(stripe_decode_soft(r, cfg) - reference)) <= 1e-9
+        assert np.array_equal(stripe_decode(r, cfg), slice_symbols(reference, pam4))
 
     @settings(max_examples=100, deadline=None)
     @given(cfg=configs())
