@@ -22,11 +22,20 @@ class NoiseSpec:
     Eb is the ensemble-average energy per bit, M*Es/bits_per_symbol (the
     cross-carrier terms vanish in expectation for every alpha), so the noise
     level is constant across blocks. ebn0_db = +inf is the exact no-noise
-    sentinel (sigma2 = 0); NaN and -inf are rejected.
+    sentinel (sigma2 = 0); NaN and -inf are rejected, and so is a finite
+    Eb/N0 whose linear value overflows (above about 3082 dB) or whose sigma2
+    would. A sigma2 that is not finite and non-negative is rejected too.
     """
 
     ebn0_db: float
     sigma2: float
+
+    def __post_init__(self):
+        if not (math.isfinite(self.sigma2) and self.sigma2 >= 0.0):
+            raise DomainError(
+                f"noise variance at Eb/N0 = {self.ebn0_db} dB must be finite and "
+                f"non-negative, got {self.sigma2}"
+            )
 
     @classmethod
     def from_config(cls, ebn0_db: float, cfg: SefdmConfig) -> "NoiseSpec":
@@ -35,22 +44,41 @@ class NoiseSpec:
         if ebn0_db == math.inf:
             return cls(ebn0_db, 0.0)
         eb = cfg.n_samples * cfg.alphabet.energy / cfg.alphabet.bits_per_symbol
-        return cls(ebn0_db, eb / 10.0 ** (ebn0_db / 10.0))
+        try:
+            sigma2 = eb / 10.0 ** (ebn0_db / 10.0)
+        except OverflowError:
+            raise DomainError(
+                f"Eb/N0 = {ebn0_db} dB overflows a float; use inf for no noise"
+            ) from None
+        except ZeroDivisionError:  # 10 ** (ebn0_db / 10) underflowed to 0
+            sigma2 = math.inf
+        return cls(ebn0_db, sigma2)
 
 
 def add_awgn(u, spec: NoiseSpec, rng) -> np.ndarray:
     """Add circularly symmetric complex Gaussian noise, variance sigma2 per sample.
 
     ``rng`` is a RandomSource or a numpy Generator; the output is deterministic
-    given the generator state.
+    given the generator state. The draws are part of the contract: the real
+    parts, ``standard_normal`` of ``u.shape``, then the imaginary parts, the
+    same again, each scaled by sqrt(sigma2 / 2); at sigma2 = 0 nothing is
+    drawn and a copy of ``u`` is returned. A channel that replaces this one
+    in the Monte Carlo loop must draw the same normals in the same order.
+    The input is not modified.
     """
     u = np.asarray(u, dtype=complex)
     if spec.sigma2 == 0.0:
         return u.copy()
     gen = _as_generator(rng)
     scale = math.sqrt(spec.sigma2 / 2.0)
-    noise = gen.standard_normal(u.shape) + 1j * gen.standard_normal(u.shape)
-    return u + scale * noise
+    out = np.empty_like(u)
+    draw = gen.standard_normal(u.shape)
+    draw *= scale
+    np.add(u.real, draw, out=out.real)
+    gen.standard_normal(out=draw)
+    draw *= scale
+    np.add(u.imag, draw, out=out.imag)
+    return out if out.ndim else out[()]
 
 
 def _sinc(x):

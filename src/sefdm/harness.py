@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 import statistics
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -120,7 +121,10 @@ def theoretical_ber(ebn0_db: float, alphabet: Alphabet) -> float:
         raise DomainError(f"no closed-form reference for alphabet {alphabet.name!r}")
     if math.isinf(ebn0_db) and ebn0_db > 0:
         return 0.0
-    rho = 10.0 ** (ebn0_db / 10.0)
+    try:
+        rho = 10.0 ** (ebn0_db / 10.0)
+    except OverflowError:  # past about 3082.5 dB; erfc has long since reached 0
+        return 0.0
     return 0.5 * math.erfc(math.sqrt(rho))
 
 
@@ -219,14 +223,24 @@ def _run_point(spec: SweepSpec, index: int) -> BerRecord:
     )
 
 
+def _usable_cores() -> int:
+    """Cores this process may run on; all of them where the OS cannot say."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def ber_sweep(spec: SweepSpec, workers: int = 1) -> list[BerRecord]:
     """Run every (alpha, Eb/N0) point of the sweep.
 
     Records come back in grid order (alphas in spec order, Eb/N0 in spec
-    order) and are bit-identical for any worker count.
+    order) and are bit-identical for any worker count. The pool is capped at
+    the grid's point count and the usable cores; with a cap of one the
+    points run serially in this process.
     """
     run = functools.partial(_run_point, spec)
     points = range(len(spec.alphas) * len(spec.ebn0_db))
+    workers = min(workers, len(points), _usable_cores())
     if workers <= 1:
         return list(map(run, points))
     with ProcessPoolExecutor(max_workers=workers) as pool:

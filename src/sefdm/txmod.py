@@ -7,7 +7,10 @@ Two equivalent transmitter paths are provided:
 * ``modulate_interleaved`` -- decompose the system into c interleaved OFDM
   branches: each branch is an M-point (unnormalized) inverse DFT of a
   zero-stuffed symbol vector, pointwise rotated by r(k)_m =
-  exp(2*pi*i*m*k*b/(c*M)), and the branches are summed.
+  exp(2*pi*i*m*k*b/(c*M)), and the branches are summed. The loop builds
+  every branch in one reused (B, M) spectrum, scales and rotates each IFFT
+  output in place and sums into the first; it skips branches that carry no
+  carrier (N < c) and the rotation of branch 0, which is exactly 1.
 
 The two paths agree to floating-point rounding for every configuration
 SefdmConfig accepts.
@@ -75,11 +78,18 @@ def modulate_interleaved(s, cfg: SefdmConfig) -> np.ndarray:
     flat = s.reshape(-1, cfg.n_carriers)
     m_samp = cfg.n_samples
     b, c = cfg.alpha_num, cfg.alpha_den
-    u = np.zeros((flat.shape[0], m_samp), dtype=complex)
-    for k in range(c):
-        # Branch k carries carriers k::c on bins 0, b, 2b, ...
+    spectrum = np.zeros((flat.shape[0], m_samp), dtype=complex)
+    # Branch k carries carriers k::c on bins 0, b, 2b, ...; branch 0 has the most.
+    bins = spectrum[:, : -(-cfg.n_carriers // c) * b : b]
+    for k in range(min(c, cfg.n_carriers)):
         carriers = flat[:, k::c]
-        spectrum = np.zeros_like(u)
-        spectrum[:, : carriers.shape[1] * b : b] = carriers
-        u += np.fft.ifft(spectrum, axis=1) * m_samp * rotation_vector(k, cfg)
+        bins[:, : carriers.shape[1]] = carriers
+        bins[:, carriers.shape[1] :] = 0
+        branch = np.fft.ifft(spectrum, axis=1)
+        branch *= m_samp
+        if k == 0:
+            u = branch
+        else:
+            branch *= rotation_vector(k, cfg)
+            u += branch
     return u.reshape(s.shape[:-1] + (m_samp,))

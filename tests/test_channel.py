@@ -38,6 +38,87 @@ class TestNoiseSpec:
         with pytest.raises(DomainError):
             NoiseSpec.from_config(ebn0_db, SefdmConfig(8, 8, 1, 1, QAM4))
 
+    @pytest.mark.parametrize("ebn0_db", [3083.0, 4000.0, 1e308])
+    def test_overflowing_ebn0_rejected_with_a_hint(self, ebn0_db):
+        # 10 ** (ebn0_db / 10) overflows a float above about 3082.5 dB
+        with pytest.raises(DomainError, match="use inf"):
+            NoiseSpec.from_config(ebn0_db, SefdmConfig(8, 8, 1, 1, QAM4))
+
+    @pytest.mark.parametrize("ebn0_db", [-3090.0, -4000.0, -1e308])
+    def test_underflowing_ebn0_rejected(self, ebn0_db):
+        # the linear Eb/N0 underflows, so sigma2 would be infinite
+        with pytest.raises(DomainError):
+            NoiseSpec.from_config(ebn0_db, SefdmConfig(8, 8, 1, 1, QAM4))
+
+    @pytest.mark.parametrize("ebn0_db", [-300.0, -3.0, 0.0, 4.5, 13.0, 300.0, 3082.0])
+    def test_in_range_sigma2_unchanged(self, ebn0_db):
+        cfg = SefdmConfig(16, 256, 5, 6, QAM4)
+        eb = 256 * QAM4.energy / QAM4.bits_per_symbol
+        assert NoiseSpec.from_config(ebn0_db, cfg).sigma2 == eb / 10.0 ** (ebn0_db / 10.0)
+
+    @pytest.mark.parametrize("sigma2", [math.nan, math.inf, -math.inf, -1.0, -1e-300])
+    def test_bad_sigma2_rejected(self, sigma2):
+        with pytest.raises(DomainError):
+            NoiseSpec(1.0, sigma2)
+
+    def test_overflowing_ebn0_has_zero_theoretical_ber(self):
+        assert theoretical_ber(4000.0, QAM4) == 0.0
+        assert theoretical_ber(1e308, QAM4) == 0.0
+
+
+def _state(gen):
+    return repr(gen.bit_generator.state)
+
+
+def _reference_awgn(u, spec, gen):
+    """u + sqrt(sigma2 / 2) * (re + 1j * im), the real draws first."""
+    re = gen.standard_normal(np.shape(u))
+    im = gen.standard_normal(np.shape(u))
+    return np.asarray(u, dtype=complex) + math.sqrt(spec.sigma2 / 2.0) * (re + 1j * im)
+
+
+class TestAwgnStream:
+    """add_awgn draws real normals of u's shape, then imaginary ones, and adds
+    them scaled; it builds the same values as the plain complex expression
+    and leaves the generator where that expression leaves it."""
+
+    SPEC = NoiseSpec.from_config(3.0, SefdmConfig(16, 256, 5, 6, QAM4))
+
+    @pytest.mark.parametrize("shape", [(1,), (256,), (3, 256), (2, 3, 16), (0, 16), (1024, 128)])
+    def test_matches_the_complex_expression(self, shape):
+        source = RandomSource(31, 2)
+        u = _reference_awgn(np.zeros(shape), NoiseSpec(0.0, 4.0), RandomSource(30).generator())
+        pristine = u.copy()
+        gen, twin = source.generator(), source.generator()
+        got = add_awgn(u, self.SPEC, gen)
+        assert np.array_equal(got, _reference_awgn(u, self.SPEC, twin))
+        assert _state(gen) == _state(twin)
+        assert np.array_equal(u, pristine)
+
+    def test_real_input(self):
+        u = np.arange(12.0).reshape(3, 4)
+        gen, twin = RandomSource(32).generator(), RandomSource(32).generator()
+        got = add_awgn(u, self.SPEC, gen)
+        assert got.dtype == complex
+        assert np.array_equal(got, _reference_awgn(u, self.SPEC, twin))
+
+    def test_zero_d_input_gives_a_complex_scalar(self):
+        gen, twin = RandomSource(33).generator(), RandomSource(33).generator()
+        got = add_awgn(1 - 2j, self.SPEC, gen)
+        want = _reference_awgn(1 - 2j, self.SPEC, twin)
+        assert isinstance(got, np.complex128) and got == want
+        assert _state(gen) == _state(twin)
+
+    def test_no_noise_is_a_copy_and_draws_nothing(self):
+        gen = RandomSource(34).generator()
+        before = _state(gen)
+        u = np.arange(6) + 1j
+        got = add_awgn(u, NoiseSpec(math.inf, 0.0), gen)
+        assert np.array_equal(got, u) and got is not u
+        got[0] = 99
+        assert u[0] == 1j
+        assert _state(gen) == before
+
 
 class TestAwgn:
     def test_sample_variance(self):

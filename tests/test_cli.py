@@ -360,6 +360,9 @@ class TestMain:
             "--alpha 1/2 --alpha 1/2 --ebn0-list 4",
             "--alpha 1/2 --ebn0-list 4,4.0",
             "--alpha 1/2 --ebn0 0:1e-9:1e-10",
+            "--alpha 1/1 --decoder ofdm --ebn0-list 4000",
+            "--alpha 1/2 --ebn0-list 4,1e308",
+            "--alpha 1/2 --ebn0-list=-4000",
         ],
     )
     def test_bad_sweep_is_a_usage_error(self, args, tmp_path, capsys):
@@ -379,6 +382,18 @@ class TestMain:
         assert result.returncode == 2, result.stderr
         assert "error" in result.stderr
         assert not (tmp_path / "run.csv").exists()
+
+
+def test_overflowing_ebn0_is_a_usage_error_without_traceback(tmp_path):
+    # 10 ** (4000 / 10) overflows a float; the console script must still exit 2
+    result = _run_python(
+        ["-m", "sefdm.cli", "--carriers", "4", "--alpha", "1/1", "--decoder", "ofdm",
+         "--ebn0-list", "4000", "--out", "run.csv"],
+        cwd=tmp_path,
+    )
+    assert result.returncode == 2, result.stderr
+    assert "use inf" in result.stderr and "Traceback" not in result.stderr
+    assert not (tmp_path / "run.csv").exists()
 
 
 def test_runs_without_scipy(tmp_path):

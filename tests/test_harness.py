@@ -184,6 +184,34 @@ class TestBerSweep:
     def test_parallel_matches_serial_for_drawn_specs(self, spec):
         assert _strip_wall(ber_sweep(spec, workers=1)) == _strip_wall(ber_sweep(spec, workers=2))
 
+    @pytest.mark.parametrize(
+        "workers, cores, grid, pool",
+        [(1000, 8, 3, 3), (1000, 2, 3, 2), (2, 8, 4, 2), (1000, 1, 3, None),
+         (4, 8, 1, None), (1, 8, 4, None), (0, 8, 4, None)],
+    )
+    def test_pool_is_capped_by_points_and_cores(self, monkeypatch, workers, cores, grid, pool):
+        # A recording stand-in takes the pool's place, so no process starts.
+        started = []
+
+        class Recorder:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", Recorder)
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(cores)))
+        spec = self._small_spec(alphas=((1, 2),), ebn0_db=tuple(range(grid)), max_symbol_periods=8)
+        records = ber_sweep(spec, workers=workers)
+        assert started == ([] if pool is None else [pool])
+        assert _strip_wall(records) == _strip_wall(ber_sweep(spec))
+
     def test_monotone_in_ebn0(self):
         spec = self._small_spec(
             alphas=((1, 1),), ebn0_db=(0.0, 4.0, 8.0), decoder="ofdm",

@@ -37,6 +37,22 @@ def brute_force_modulate(s, cfg):
     return u
 
 
+def _reference_interleaved(s, cfg):
+    """The per-branch transmitter: a fresh zeroed spectrum, IFFT, scale and
+    rotation for every one of the c branches, summed into a zeroed output."""
+    s = np.asarray(s, dtype=complex)
+    flat = s.reshape(-1, cfg.n_carriers)
+    m_samp = cfg.n_samples
+    b, c = cfg.alpha_num, cfg.alpha_den
+    u = np.zeros((flat.shape[0], m_samp), dtype=complex)
+    for k in range(c):
+        carriers = flat[:, k::c]
+        spectrum = np.zeros_like(u)
+        spectrum[:, : carriers.shape[1] * b : b] = carriers
+        u += np.fft.ifft(spectrum, axis=1) * m_samp * rotation_vector(k, cfg)
+    return u.reshape(s.shape[:-1] + (m_samp,))
+
+
 class TestCarrierMatrix:
     def test_single_entry(self):
         cfg = SefdmConfig(1, 1, 1, 1, BPSK)
@@ -156,6 +172,36 @@ class TestModulateInterleaved:
         u_direct = modulate_direct(s, cfg)
         u_inter = modulate_interleaved(s, cfg)
         assert np.max(np.abs(u_inter - u_direct)) <= 1e-9 * np.max(np.abs(u_direct))
+
+    @settings(max_examples=100, deadline=None)
+    @given(cfg=configs(), seed=st.integers(0, 2**32 - 1),
+           batch=st.sampled_from([(), (5,), (2, 3), (0,)]))
+    def test_bit_identical_to_the_per_branch_reference(self, cfg, seed, batch):
+        # The reused spectrum, the skipped branches and the unrotated branch 0
+        # change no bit of the output, for a vector, a batch, a nested batch
+        # and an empty batch alike.
+        gen = RandomSource(seed).generator()
+        shape = batch + (cfg.n_carriers,)
+        s = gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
+        u = modulate_interleaved(s, cfg)
+        assert u.shape == batch + (cfg.n_samples,)
+        assert np.array_equal(u, _reference_interleaved(s, cfg))
+
+    @pytest.mark.parametrize("n, m, b, c", [(4, 128, 3, 5), (1, 1, 1, 6), (1, 5, 1, 6), (2, 7, 5, 6)])
+    def test_bit_identical_with_empty_branches(self, n, m, b, c):
+        # N < c: branches N..c-1 carry no carrier and are skipped.
+        cfg = SefdmConfig(n, m, b, c, QAM4)
+        s = _random_symbols(cfg, RandomSource(10).generator())
+        batch = np.stack([s, 2 * s, -1j * s])
+        assert np.array_equal(modulate_interleaved(s, cfg), _reference_interleaved(s, cfg))
+        assert np.array_equal(modulate_interleaved(batch, cfg), _reference_interleaved(batch, cfg))
+
+    def test_input_is_not_modified(self):
+        cfg = SefdmConfig(9, 15, 2, 3, QAM4)
+        s = _random_symbols(cfg, RandomSource(11).generator())
+        pristine = s.copy()
+        modulate_interleaved(s, cfg)
+        assert np.array_equal(s, pristine)
 
     def test_subsystems_sum_to_direct(self):
         # the signal is the sum of the c branch signals, each carrying one group
