@@ -80,7 +80,7 @@ def modulate_interleaved(s, cfg: SefdmConfig) -> np.ndarray:
     b, c = cfg.alpha_num, cfg.alpha_den
     spectrum = np.zeros((flat.shape[0], m_samp), dtype=complex)
     # Branch k carries carriers k::c on bins 0, b, 2b, ...; branch 0 has the most.
-    bins = spectrum[:, : -(-cfg.n_carriers // c) * b : b]
+    bins = spectrum[:, : cfg.n_padded // c * b : b]
     for k in range(min(c, cfg.n_carriers)):
         carriers = flat[:, k::c]
         bins[:, : carriers.shape[1]] = carriers

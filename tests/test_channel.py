@@ -87,7 +87,8 @@ class TestAwgnStream:
     @pytest.mark.parametrize("shape", [(1,), (256,), (3, 256), (2, 3, 16), (0, 16), (1024, 128)])
     def test_matches_the_complex_expression(self, shape):
         source = RandomSource(31, 2)
-        u = _reference_awgn(np.zeros(shape), NoiseSpec(0.0, 4.0), RandomSource(30).generator())
+        signal = RandomSource(30).generator()
+        u = signal.standard_normal(shape) + 1j * signal.standard_normal(shape)
         pristine = u.copy()
         gen, twin = source.generator(), source.generator()
         got = add_awgn(u, self.SPEC, gen)
