@@ -20,20 +20,22 @@ order, where branch k is the stride k::c, and updates it in real arithmetic:
 on the float view [Re s_0, Im s_0, Re s_1, ...] one branch update is a single
 real matrix product with the (2N, 2|K|) real embedding of -G[:, K] (rows of K
 zeroed), plus y_K, written back through the complex view s[:, k::c]. Each
-update is truncated to the constellation bounding box; after every sweep the
-whole estimate vector is annealed in place toward the constellation with an
-inverse-square-distance "gravity" pull whose weight ramps linearly from 1/J
-to 1 over the J sweeps. The final vector is sliced to hard symbols.
+update is truncated to the bounding box [lo, hi], one range for real and
+imaginary parts alike; after every sweep the whole estimate vector is
+annealed in place toward the constellation with an inverse-square-distance
+"gravity" pull whose weight ramps linearly from 1/J to 1 over the J sweeps.
+The final vector is sliced to hard symbols.
 
-For BPSK the truncation pins every imaginary part to 0, so the state is N
-reals instead: the weights are Re(-G[:, K]) (the even rows and columns of the
-embedding), y_K is Re y[:, k::c], and gravity toward the points +-1 has the
-closed form 2x / (1 + x^2), which is exactly +-1 at +-1. For QAM4, gravity
-toward +-1+-1j is closed too: with u = Re s, v = Im s and r = u^2 + v^2 + 2,
-Re = 2u (r^2 - 4(u^2 - v^2)) / (r (r^2 - 4r + 8)) and Im is the same with v
-for u and +4 for -4; truncation keeps r in [2, 4], so the denominator is at
-least 8, and each point maps exactly to itself. The public `gravity` remains
-the generic pull, used for every other alphabet.
+A real alphabet (BPSK, PAM) keeps every imaginary part at 0, so its state is
+N reals: the weights are Re(-G[:, K]), the even rows and columns of the
+embedding, and y_K is Re y[:, k::c]. A complex alphabet needs equal real and
+imaginary ranges (DomainError otherwise). Gravity toward BPSK's +-1 has the
+closed form 2x / (1 + x^2), exact at +-1. For QAM4 it is closed too: with
+u = Re s, v = Im s and r = u^2 + v^2 + 2, Re = 2u (r^2 - 4(u^2 - v^2)) /
+(r (r^2 - 4r + 8)) and Im is the same with v for u and +4 for -4; truncation
+keeps r in [2, 4], so the denominator is at least 8, and each point maps
+exactly to itself. The public `gravity` remains the generic pull, used for
+every other alphabet.
 
 The ML decoder minimises s G s^H - 2 Re(y . conj(s)) over every candidate
 symbol vector, in chunks whose working memory is bounded.
@@ -146,6 +148,13 @@ def _pull_qam4(s: np.ndarray) -> np.ndarray:
     return out
 
 
+_PULLS = {BPSK: _pull_bpsk, QAM4: _pull_qam4}  # closed forms; gravity for the rest
+
+
+def _is_real(alphabet: Alphabet) -> bool:  # then the stripe state is N reals
+    return not any(p.imag for p in alphabet.points)
+
+
 def truncate(est, alphabet: Alphabet):
     """Clamp real and imaginary parts to the constellation bounding box."""
     re_lo, re_hi, im_lo, im_hi = alphabet.bounding_box
@@ -166,22 +175,12 @@ def slice_symbols(est, alphabet: Alphabet):
     return complex(out) if np.isscalar(est) or e.ndim == 0 else out
 
 
-class _Branch(NamedTuple):
-    """One branch of the stripe sweep: its carriers K, the real embedding of
-    -G'[:, K], and clip bounds; for BPSK, Re(-G'[:, K]) and real bounds."""
-
-    carriers: slice  # K = k::c
-    weights: np.ndarray  # (2N, 2|K|); BPSK (N, |K|)
-    lo: np.ndarray  # (2|K|,) [re_lo, im_lo, re_lo, im_lo, ...]; BPSK (|K|,)
-    hi: np.ndarray  # (2|K|,) [re_hi, im_hi, re_hi, im_hi, ...]; BPSK (|K|,)
-
-
 class _MatchedFilter(NamedTuple):
     """Receiver front end of one configuration; see the module docstring."""
 
     matched: np.ndarray  # (M, N) C^H / M, so that y = r @ matched
     gram: np.ndarray  # (N, N) G = C C^H / M
-    branches: tuple[_Branch, ...]
+    weights: tuple[np.ndarray, ...]  # branch k: (2N, 2|K|); real alphabet (N, |K|)
 
 
 @lru_cache(maxsize=64)
@@ -189,29 +188,20 @@ def _matched_filter(cfg: SefdmConfig) -> _MatchedFilter:
     matrix = carrier_matrix(cfg)
     matched = np.ascontiguousarray(matrix.conj().T) / cfg.n_samples
     gram = matrix @ matched
-    re_lo, re_hi, im_lo, im_hi = cfg.alphabet.bounding_box
-    branches = []
-    for k in range(cfg.alpha_den):
-        carriers = slice(k, None, cfg.alpha_den)
+    c, real = cfg.alpha_den, _is_real(cfg.alphabet)
+    weights = []
+    for k in range(c):
         # G'[:, K]: rows of K zeroed, so that y_K - s @ G'[:, K] cancels every
         # other branch. With s = a + ib and -G' = P + iQ, the float view
         # [a_0, b_0, a_1, ...] times [[P, Q], [-Q, P]], interleaved, is the
-        # interleaved -s @ G'[:, K].
-        others = -gram[:, carriers]
-        others[carriers] = 0
-        width = others.shape[1]
-        if cfg.alphabet == BPSK:
-            # N reals: the even rows and columns of the embedding below.
-            weights, lo, hi = others.real.copy(), [re_lo], [re_hi]
-        else:
-            weights = np.empty((2 * cfg.n_carriers, 2 * width))
-            weights[0::2, 0::2] = others.real
-            weights[0::2, 1::2] = others.imag
-            weights[1::2, 0::2] = -others.imag
-            weights[1::2, 1::2] = others.real
-            lo, hi = [re_lo, im_lo], [re_hi, im_hi]
-        branches.append(_Branch(carriers, weights, np.tile(lo, width), np.tile(hi, width)))
-    return _MatchedFilter(matched, gram, tuple(branches))
+        # interleaved -s @ G'[:, K]; a real alphabet needs only P.
+        others = -gram[:, k::c]
+        others[k::c] = 0
+        p, q = others.real, others.imag
+        # Entry [n, i, m, j] is row 2n + i, column 2m + j of the embedding.
+        embedded = np.array([[p, q], [-q, p]]).transpose(2, 0, 3, 1)
+        weights.append(p.copy() if real else embedded.reshape(2 * p.shape[0], 2 * p.shape[1]))
+    return _MatchedFilter(matched, gram, tuple(weights))
 
 
 def _matched_outputs(r, cfg: SefdmConfig) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -250,35 +240,37 @@ def stripe_decode(r, cfg: SefdmConfig, params: StripeParams = StripeParams()) ->
 
 def _stripe_batch(y: np.ndarray, cfg: SefdmConfig, params: StripeParams) -> np.ndarray:
     """Run J sweeps over a (B, N) batch of matched-filter outputs; returns
-    (B, N) soft estimates, real for BPSK and complex otherwise."""
+    (B, N) soft estimates, real for a real alphabet and complex otherwise."""
     total_iter = params.iterations
-    if cfg.alphabet == BPSK:
-        s_hat, front, pull = np.zeros(y.shape), y.real, _pull_bpsk
+    alphabet = cfg.alphabet
+    lo, hi, im_lo, im_hi = alphabet.bounding_box
+    # `gravity` is looked up at call time, so that tracing can wrap it.
+    if _is_real(alphabet):
+        s_hat, front, generic = np.zeros(y.shape), y.real, lambda s: gravity(s, alphabet).real
+    elif (lo, hi) == (im_lo, im_hi):
+        s_hat, front, generic = np.zeros_like(y), y, lambda s: gravity(s, alphabet)
     else:
-        s_hat, front = np.zeros_like(y), y
-        pull = _pull_qam4 if cfg.alphabet == QAM4 else lambda s: gravity(s, cfg.alphabet)
+        raise DomainError(f"{alphabet.name!r}: stripe needs equal real and imaginary ranges")
+    pull = _PULLS.get(alphabet, generic)
     s_float = s_hat.view(float)
-    # Contiguous per-branch operands: a ufunc over contiguous arrays runs as
-    # one flat loop, where a strided or broadcast operand loops row by row.
+    c = cfg.alpha_den
+    # Contiguous per-branch y: a ufunc over contiguous arrays runs as one
+    # flat loop, where a strided operand loops row by row.
     sweep = [
-        (
-            np.ascontiguousarray(front[:, b.carriers]).view(float),
-            s_hat[:, b.carriers],
-            b.weights,
-            np.tile(b.lo, (len(y), 1)),
-            np.tile(b.hi, (len(y), 1)),
-        )
-        for b in _matched_filter(cfg).branches
+        (np.ascontiguousarray(front[:, k::c]).view(float), s_hat[:, k::c], weights)
+        for k, weights in enumerate(_matched_filter(cfg).weights)
     ]
     for j in range(1, total_iter + 1):
         # The updated branch is visible to the remaining k within this sweep.
-        for y_k, s_k, weights, lo, hi in sweep:
+        for y_k, s_k, weights in sweep:
             est = s_float @ weights
             est += y_k
-            # Truncation to the bounding box: min(max(est, lo), hi), as np.clip.
+            # Truncation to the bounding box, whose two ranges are the same.
             np.maximum(est, lo, out=est)
             np.minimum(est, hi, out=est)
             s_k[...] = est.view(s_hat.dtype)
+        # Annealing in the state's own dtype: a complex /= T multiplies by
+        # 1/T, where a float /= T divides, so the two would differ in bits.
         pulled = pull(s_hat)
         s_hat *= total_iter - j
         s_hat /= total_iter

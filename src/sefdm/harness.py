@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 from .channel import NoiseSpec, add_awgn
 from .core import (
+    BPSK,
+    QAM4,
     Alphabet,
     DomainError,
     RandomSource,
@@ -117,7 +119,7 @@ def theoretical_ber(ebn0_db: float, alphabet: Alphabet) -> float:
     Holds for BPSK and for Gray-coded 4-QAM (per-bit error equal at equal
     Eb/N0); other alphabets are rejected.
     """
-    if alphabet.name not in ("bpsk", "qam4"):
+    if alphabet not in (BPSK, QAM4):
         raise DomainError(f"no closed-form reference for alphabet {alphabet.name!r}")
     if math.isinf(ebn0_db) and ebn0_db > 0:
         return 0.0
@@ -252,8 +254,13 @@ def db_penalty(records: list[BerRecord], target_ber: float) -> float:
 
     The measured Eb/N0 at target_ber is found by log-linear interpolation
     between the bracketing sweep points; the theory value comes from
-    theory_ebn0_db. Raises if the curve does not bracket the target.
+    theory_ebn0_db. Raises if the records span more than one curve, repeat an
+    Eb/N0 point, or do not bracket the target.
     """
+    curve = {(r.alpha_num, r.alpha_den, r.carriers, r.samples, r.alphabet, r.decoder, r.iterations)
+             for r in records}
+    if len(curve) > 1 or len({r.ebn0_db for r in records}) < len(records):
+        raise ValueError("records must form one curve, with one record per Eb/N0 point")
     pts = sorted(
         ((r.ebn0_db, r.ber) for r in records if r.ber > 0), key=lambda t: t[0]
     )

@@ -438,8 +438,18 @@ class TestMatchedFilterDomain:
         s = bits_to_symbols(gen.integers(0, 2, size=(8, cfg.bits_per_block)), pam4)
         r = add_awgn(modulate_interleaved(s, cfg), NoiseSpec.from_config(ebn0_db, cfg), gen)
         reference = _reference_stripe_batch(r, cfg, StripeParams())
-        assert np.max(np.abs(stripe_decode_soft(r, cfg) - reference)) <= 1e-9
+        soft = stripe_decode_soft(r, cfg)
+        assert np.max(np.abs(soft - reference)) <= 1e-9
         assert np.array_equal(stripe_decode(r, cfg), slice_symbols(reference, pam4))
+        # A real alphabet runs on N reals, as BPSK does.
+        assert not soft.imag.any()
+
+    def test_unequal_real_and_imaginary_ranges_are_rejected(self):
+        # The truncation box is one range for real and imaginary parts alike.
+        rect = Alphabet("rect", (3 + 1j, -3 + 1j, -3 - 1j, 3 - 1j), ((0, 0), (0, 1), (1, 1), (1, 0)))
+        cfg = SefdmConfig(4, 4, 1, 2, rect)
+        with pytest.raises(DomainError):
+            stripe_decode(np.ones((2, 4), complex), cfg)
 
     @settings(max_examples=100, deadline=None)
     @given(cfg=configs())

@@ -72,6 +72,10 @@ class TestTheoreticalBer:
         )
         with pytest.raises(DomainError):
             theoretical_ber(4.0, pam4)
+        # The check is on the points, not the name.
+        impostor = dataclasses.replace(pam4, name="qam4")
+        with pytest.raises(DomainError):
+            theoretical_ber(6.0, impostor)
 
     def test_inverse(self):
         for target in (1e-2, 1e-3, 1e-4):
@@ -282,6 +286,16 @@ class TestDbPenalty:
     def test_shifted_curve_measures_shift(self):
         records = [self._record(db, theoretical_ber(db - 1.5, QAM4)) for db in (7.0, 8.0, 9.0, 10.0)]
         assert db_penalty(records, 1e-3) == pytest.approx(1.5, abs=0.05)
+
+    def test_mixed_curves_raise(self):
+        # Sorting two alphas' records together by Eb/N0 would interpolate
+        # across curves.
+        one = [self._record(db, theoretical_ber(db, QAM4)) for db in (6.0, 7.0, 8.0)]
+        half = [dataclasses.replace(r, alpha_den=2, ber=2 * r.ber) for r in one]
+        with pytest.raises(ValueError, match="one curve"):
+            db_penalty(one + half, 1e-3)
+        with pytest.raises(ValueError, match="one record per Eb/N0"):
+            db_penalty(one + one[:1], 1e-3)
 
     def test_unbracketed_target_raises(self):
         records = [self._record(db, theoretical_ber(db, QAM4)) for db in (0.0, 1.0)]

@@ -119,12 +119,18 @@ class TestModulateDirect:
 
 class TestPartitionMerge:
     """The partition of the carriers into the c interleaved branch groups
-    K = k::c, as the stripe decoder's branches hold it."""
+    K = k::c, as the stripe decoder's branch weights hold it."""
 
     @staticmethod
     def _groups(cfg):
-        carriers = np.arange(cfg.n_carriers)
-        return [carriers[b.carriers].tolist() for b in detect._matched_filter(cfg).branches]
+        # Branch k's weights zero the rows of its own carriers: row n for a
+        # real alphabet, rows 2n and 2n+1 otherwise. Every other carrier's
+        # Gram entries with K are non-zero, since gcd(b, c) = 1.
+        groups = []
+        for weights in detect._matched_filter(cfg).weights:
+            rows = weights.reshape(cfg.n_carriers, -1)  # carrier n's rows side by side
+            groups.append(np.flatnonzero(~rows.any(axis=1)).tolist())
+        return groups
 
     def test_alpha_half(self):
         assert self._groups(SefdmConfig(4, 4, 1, 2, QAM4)) == [[0, 2], [1, 3]]
@@ -133,11 +139,13 @@ class TestPartitionMerge:
         assert self._groups(SefdmConfig(4, 4, 3, 4, QAM4)) == [[0], [1], [2], [3]]
 
     def test_every_symbol_appears_once(self):
-        # every carrier lies in exactly one branch group, the group of its index mod c
-        groups = self._groups(SefdmConfig(10, 12, 5, 6, QAM4))
-        assert sorted(sum(groups, [])) == list(range(10))
-        for k, carriers in enumerate(groups):
-            assert all(n % 6 == k for n in carriers)
+        # every carrier lies in exactly one branch group, the group of its
+        # index mod c, whether the weights are complex or real
+        for alphabet in (QAM4, BPSK):
+            groups = self._groups(SefdmConfig(10, 12, 5, 6, alphabet))
+            assert sorted(sum(groups, [])) == list(range(10))
+            for k, carriers in enumerate(groups):
+                assert all(n % 6 == k for n in carriers)
 
 
 class TestModulateInterleaved:
