@@ -198,9 +198,11 @@ def _matched_filter(cfg: SefdmConfig) -> _MatchedFilter:
         others = -gram[:, k::c]
         others[k::c] = 0
         p, q = others.real, others.imag
-        # Entry [n, i, m, j] is row 2n + i, column 2m + j of the embedding.
-        embedded = np.array([[p, q], [-q, p]]).transpose(2, 0, 3, 1)
-        weights.append(p.copy() if real else embedded.reshape(2 * p.shape[0], 2 * p.shape[1]))
+        if real:
+            weights.append(p.copy())
+        else:  # entry [n, i, m, j] is row 2n + i, column 2m + j of the embedding
+            embedded = np.array([[p, q], [-q, p]]).transpose(2, 0, 3, 1)
+            weights.append(embedded.reshape(2 * p.shape[0], 2 * p.shape[1]))
     return _MatchedFilter(matched, gram, tuple(weights))
 
 
@@ -242,16 +244,15 @@ def _stripe_batch(y: np.ndarray, cfg: SefdmConfig, params: StripeParams) -> np.n
     """Run J sweeps over a (B, N) batch of matched-filter outputs; returns
     (B, N) soft estimates, real for a real alphabet and complex otherwise."""
     total_iter = params.iterations
-    alphabet = cfg.alphabet
-    lo, hi, im_lo, im_hi = alphabet.bounding_box
+    lo, hi, im_lo, im_hi = cfg.alphabet.bounding_box
     # `gravity` is looked up at call time, so that tracing can wrap it.
-    if _is_real(alphabet):
-        s_hat, front, generic = np.zeros(y.shape), y.real, lambda s: gravity(s, alphabet).real
+    if _is_real(cfg.alphabet):
+        s_hat, front, generic = np.zeros(y.shape), y.real, lambda s: gravity(s, cfg.alphabet).real
     elif (lo, hi) == (im_lo, im_hi):
-        s_hat, front, generic = np.zeros_like(y), y, lambda s: gravity(s, alphabet)
+        s_hat, front, generic = np.zeros_like(y), y, lambda s: gravity(s, cfg.alphabet)
     else:
-        raise DomainError(f"{alphabet.name!r}: stripe needs equal real and imaginary ranges")
-    pull = _PULLS.get(alphabet, generic)
+        raise DomainError(f"{cfg.alphabet.name!r}: stripe needs equal real and imaginary ranges")
+    pull = _PULLS.get(cfg.alphabet, generic)
     s_float = s_hat.view(float)
     c = cfg.alpha_den
     # Contiguous per-branch y: a ufunc over contiguous arrays runs as one
@@ -265,7 +266,7 @@ def _stripe_batch(y: np.ndarray, cfg: SefdmConfig, params: StripeParams) -> np.n
         for y_k, s_k, weights in sweep:
             est = s_float @ weights
             est += y_k
-            # Truncation to the bounding box, whose two ranges are the same.
+            # Truncation to the bounding box: every float of the state has range [lo, hi].
             np.maximum(est, lo, out=est)
             np.minimum(est, hi, out=est)
             s_k[...] = est.view(s_hat.dtype)

@@ -261,9 +261,7 @@ def db_penalty(records: list[BerRecord], target_ber: float) -> float:
              for r in records}
     if len(curve) > 1 or len({r.ebn0_db for r in records}) < len(records):
         raise ValueError("records must form one curve, with one record per Eb/N0 point")
-    pts = sorted(
-        ((r.ebn0_db, r.ber) for r in records if r.ber > 0), key=lambda t: t[0]
-    )
+    pts = sorted((r.ebn0_db, r.ber) for r in records if r.ber > 0)  # by Eb/N0: no two are equal
     for (db0, ber0), (db1, ber1) in zip(pts, pts[1:]):
         if ber0 >= target_ber >= ber1 and ber0 > ber1:
             frac = (math.log10(target_ber) - math.log10(ber0)) / (
