@@ -253,6 +253,7 @@ def _stripe_batch(y: np.ndarray, cfg: SefdmConfig, params: StripeParams) -> np.n
     else:
         raise DomainError(f"{cfg.alphabet.name!r}: stripe needs equal real and imaginary ranges")
     pull = _PULLS.get(cfg.alphabet, generic)
+    lo, hi = np.array(lo), np.array(hi)  # 0-d: a ufunc converts a Python float on every call
     s_float = s_hat.view(float)
     c = cfg.alpha_den
     # Contiguous per-branch y: a ufunc over contiguous arrays runs as one
