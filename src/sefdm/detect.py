@@ -30,12 +30,9 @@ A real alphabet (BPSK, PAM) keeps every imaginary part at 0, so its state is
 N reals: the weights are Re(-G[:, K]), the even rows and columns of the
 embedding, and y_K is Re y[:, k::c]. A complex alphabet needs equal real and
 imaginary ranges (DomainError otherwise). Gravity toward BPSK's +-1 has the
-closed form 2x / (1 + x^2), exact at +-1. For QAM4 it is closed too: with
-u = Re s, v = Im s and r = u^2 + v^2 + 2, Re = 2u (r^2 - 4(u^2 - v^2)) /
-(r (r^2 - 4r + 8)) and Im is the same with v for u and +4 for -4; truncation
-keeps r in [2, 4], so the denominator is at least 8, and each point maps
-exactly to itself. The public `gravity` remains the generic pull, used for
-every other alphabet.
+closed form 2x / (1 + x^2), exact at +-1; toward QAM4's +-1+-1j it is closed
+too (`_pull_qam4`). Each maps every point exactly to itself. The public
+`gravity` remains the generic pull, used for every other alphabet.
 
 The ML decoder minimises s G s^H - 2 Re(y . conj(s)) over every candidate
 symbol vector, in chunks whose working memory is bounded.
@@ -197,12 +194,15 @@ def _matched_filter(cfg: SefdmConfig) -> _MatchedFilter:
         # interleaved -s @ G'[:, K]; a real alphabet needs only P.
         others = -gram[:, k::c]
         others[k::c] = 0
-        p, q = others.real, others.imag
         if real:
-            weights.append(p.copy())
-        else:  # entry [n, i, m, j] is row 2n + i, column 2m + j of the embedding
-            embedded = np.array([[p, q], [-q, p]]).transpose(2, 0, 3, 1)
-            weights.append(embedded.reshape(2 * p.shape[0], 2 * p.shape[1]))
+            weights.append(others.real.copy())
+            continue
+        embedded = np.empty((2 * cfg.n_carriers, 2 * others.shape[1]))
+        embedded[0::2, 0::2] = others.real
+        embedded[0::2, 1::2] = others.imag
+        embedded[1::2, 0::2] = -others.imag
+        embedded[1::2, 1::2] = others.real
+        weights.append(embedded)
     return _MatchedFilter(matched, gram, tuple(weights))
 
 
