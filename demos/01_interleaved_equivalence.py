@@ -1,8 +1,10 @@
 """The FFT-based interleaved modulator matches the direct carrier-matrix product.
 
 A compressed-multicarrier block with N carriers at fractional spacing b/c can be
-built two ways: the O(N*M) matrix product, or as a sum of c ordinary IFFT
-branches, each zero-stuffed and pointwise rotated. This script draws random
+built two ways: the O(N*M) matrix product, or as a sum of c ordinary OFDM
+branches. Branch k is the unnormalised M-point inverse DFT of its carriers
+k, k + c, ... placed on bins 0, b, 2b, ..., times carrier k's own samples.
+This script draws random
 configurations and prints the worst relative disagreement, which sits at
 machine precision.
 """

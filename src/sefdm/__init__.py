@@ -38,12 +38,7 @@ from .harness import (
     theoretical_ber,
     theory_ebn0_db,
 )
-from .txmod import (
-    carrier_matrix,
-    modulate_direct,
-    modulate_interleaved,
-    rotation_vector,
-)
+from .txmod import carrier_matrix, modulate_direct, modulate_interleaved
 
 __all__ = [
     "Alphabet",
@@ -71,7 +66,6 @@ __all__ = [
     "ml_decode",
     "modulate_direct",
     "modulate_interleaved",
-    "rotation_vector",
     "run_block",
     "slice_symbols",
     "stripe_decode",

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,12 @@ class DomainError(ValueError):
 
 class CapacityError(RuntimeError):
     """Requested search space exceeds the enumeration guard."""
+
+
+def _check_int(name: str, value) -> None:
+    """Accept Python and numpy integers; reject bool, floats and the rest."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -89,9 +96,10 @@ class SefdmConfig:
 
     alpha = 1 is plain OFDM. M >= N is required, and each interleaved branch's
     spectrum, ceil(N/c)*b bins long, must fit in M (DimensionError otherwise).
-    M need not be a multiple of c (the interleaved decomposition holds for any
-    such M, the rotation is a pointwise phase multiply rather than an integer
-    bin shift).
+    M need not be a multiple of c: branch k is the M-point inverse DFT of its
+    spectrum times carrier k's samples, a pointwise multiply that needs no
+    integer bin shift. The four dimensions must be integers (ValueError
+    otherwise; bool is not accepted).
     """
 
     n_carriers: int
@@ -101,6 +109,8 @@ class SefdmConfig:
     alphabet: Alphabet
 
     def __post_init__(self):
+        for name in ("n_carriers", "n_samples", "alpha_num", "alpha_den"):
+            _check_int(name, getattr(self, name))
         if self.n_carriers < 1 or self.n_samples < 1:
             raise ValueError("carrier and sample counts must be positive")
         b, c = self.alpha_num, self.alpha_den
@@ -174,9 +184,9 @@ def bits_to_symbols(bits, alphabet: Alphabet) -> np.ndarray:
     """
     bits = np.asarray(bits, dtype=np.intp)
     bps = alphabet.bits_per_symbol
-    if bits.shape[-1] % bps != 0:
+    if bits.ndim == 0 or bits.shape[-1] % bps != 0:
         raise DimensionError(
-            f"bit count {bits.shape[-1]} is not a multiple of {bps}"
+            f"bits of shape {bits.shape}: the last axis must hold a multiple of {bps}"
         )
     # Explicit lengths: a -1 cannot be resolved when a batch axis is empty.
     groups = bits.reshape(bits.shape[:-1] + (bits.shape[-1] // bps, bps))

@@ -46,7 +46,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import BPSK, QAM4, Alphabet, CapacityError, DimensionError, DomainError, SefdmConfig
+from .core import (
+    BPSK,
+    QAM4,
+    Alphabet,
+    CapacityError,
+    DimensionError,
+    DomainError,
+    SefdmConfig,
+    _check_int,
+)
 from .txmod import carrier_matrix
 
 # Squared-distance threshold under which a soft estimate counts as exactly on
@@ -68,6 +77,7 @@ class StripeParams:
     iterations: int = 20
 
     def __post_init__(self):
+        _check_int("iterations", self.iterations)
         if self.iterations < 1:
             raise ValueError("need at least one iteration")
 
@@ -164,8 +174,11 @@ def slice_symbols(est, alphabet: Alphabet):
     """Hard decision to the nearest constellation point.
 
     Ties break toward the lowest point index (argmin keeps the first minimum).
+    Raises DomainError for non-finite estimates.
     """
     e = np.asarray(est, dtype=complex)
+    if not np.isfinite(e).all():
+        raise DomainError("estimates must be finite")
     points = alphabet.points_array()
     d2 = np.abs(e[..., None] - points) ** 2
     out = points[d2.argmin(axis=-1)]
@@ -215,8 +228,8 @@ def _matched_outputs(r, cfg: SefdmConfig) -> tuple[np.ndarray, tuple[int, ...]]:
     """
     r = np.asarray(r, dtype=complex)
     m_samp = cfg.n_samples
-    if r.shape[-1] != m_samp:
-        raise DimensionError(f"expected {m_samp} samples, got {r.shape[-1]}")
+    if r.shape[-1:] != (m_samp,):
+        raise DimensionError(f"expected {m_samp} samples on the last axis, got shape {r.shape}")
     if not np.isfinite(r).all():
         raise DomainError("received samples must be finite")
     return r.reshape(-1, m_samp) @ _matched_filter(cfg).matched, r.shape[:-1]

@@ -24,6 +24,7 @@ from .core import (
     RandomSource,
     SefdmConfig,
     _as_generator,
+    _check_int,
     bits_to_symbols,
     get_alphabet,
     symbols_to_bits,
@@ -65,6 +66,10 @@ class SweepSpec:
     seed: int = 0
 
     def __post_init__(self):
+        # carriers, samples and the alpha parts are checked by SefdmConfig
+        # below, iterations by StripeParams.
+        for name in ("min_bit_errors", "max_symbol_periods", "seed"):
+            _check_int(name, getattr(self, name))
         if self.min_bit_errors < 1 or self.max_symbol_periods < 1:
             raise ValueError("stop rule must be positive")
         if not self.alphas or not self.ebn0_db:

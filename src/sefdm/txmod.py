@@ -5,12 +5,13 @@ Two equivalent transmitter paths are provided:
 * ``modulate_direct`` -- multiply the symbol vector by the N x M carrier
   matrix c_nm = exp(2*pi*i*n*m*b/(c*M)).
 * ``modulate_interleaved`` -- decompose the system into c interleaved OFDM
-  branches: each branch is an M-point (unnormalized) inverse DFT of a
-  zero-stuffed symbol vector, pointwise rotated by r(k)_m =
-  exp(2*pi*i*m*k*b/(c*M)), and the branches are summed. The loop builds
-  every branch in one reused (B, M) spectrum, scales and rotates each IFFT
-  output in place and sums into the first; it skips branches that carry no
-  carrier (N < c) and the rotation of branch 0, which is exactly 1.
+  branches. Branch k carries carriers k, k + c, k + 2c, ... on bins
+  0, b, 2b, ... of an M-point spectrum; its signal is the unnormalised
+  inverse DFT of that spectrum times carrier k's own samples, row k of the
+  carrier matrix. The loop builds every branch in one reused (B, M)
+  spectrum, multiplies each inverse DFT in place and sums into the first;
+  it skips branches that carry no carrier (N < c) and the multiply of
+  branch 0, whose row is exactly 1.
 
 The two paths agree to floating-point rounding for every configuration
 SefdmConfig accepts.
@@ -40,22 +41,11 @@ def carrier_matrix(cfg: SefdmConfig) -> np.ndarray:
     return _read_only(np.exp(2j * np.pi * n * m * b / (c * cfg.n_samples)))
 
 
-@lru_cache(maxsize=256)
-def rotation_vector(k: int, cfg: SefdmConfig) -> np.ndarray:
-    """Diagonal of the M x M rotation matrix R(k) for branch k."""
-    if not 0 <= k < cfg.alpha_den:
-        raise DimensionError(f"subsystem index {k} out of range [0, {cfg.alpha_den})")
-    m = np.arange(cfg.n_samples)
-    return _read_only(
-        np.exp(2j * np.pi * m * k * cfg.alpha_num / (cfg.alpha_den * cfg.n_samples))
-    )
-
-
 def _check_symbols(s, cfg: SefdmConfig) -> np.ndarray:
     s = np.asarray(s, dtype=complex)
-    if s.shape[-1] != cfg.n_carriers:
+    if s.shape[-1:] != (cfg.n_carriers,):
         raise DimensionError(
-            f"expected {cfg.n_carriers} symbols, got {s.shape[-1]}"
+            f"expected {cfg.n_carriers} symbols on the last axis, got shape {s.shape}"
         )
     return s
 
@@ -70,26 +60,25 @@ def modulate_direct(s, cfg: SefdmConfig) -> np.ndarray:
 
 
 def modulate_interleaved(s, cfg: SefdmConfig) -> np.ndarray:
-    """Sum of the c rotated OFDM branches; equals modulate_direct to rounding.
+    """Sum of the c interleaved OFDM branches; equals modulate_direct to rounding.
 
     Accepts a length-N vector or a (..., N) batch.
     """
     s = _check_symbols(s, cfg)
     flat = s.reshape(-1, cfg.n_carriers)
-    m_samp = cfg.n_samples
+    rows = carrier_matrix(cfg)
     b, c = cfg.alpha_num, cfg.alpha_den
-    spectrum = np.zeros((flat.shape[0], m_samp), dtype=complex)
+    spectrum = np.zeros((flat.shape[0], cfg.n_samples), dtype=complex)
     # Branch k carries carriers k::c on bins 0, b, 2b, ...; branch 0 has the most.
     bins = spectrum[:, : cfg.n_padded // c * b : b]
     for k in range(min(c, cfg.n_carriers)):
         carriers = flat[:, k::c]
         bins[:, : carriers.shape[1]] = carriers
         bins[:, carriers.shape[1] :] = 0
-        branch = np.fft.ifft(spectrum, axis=1)
-        branch *= m_samp
+        branch = np.fft.ifft(spectrum, axis=1, norm="forward")
         if k == 0:
             u = branch
         else:
-            branch *= rotation_vector(k, cfg)
+            branch *= rows[k]
             u += branch
-    return u.reshape(s.shape[:-1] + (m_samp,))
+    return u.reshape(s.shape[:-1] + (cfg.n_samples,))

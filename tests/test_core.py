@@ -139,6 +139,19 @@ class TestConfig:
         with pytest.raises(ValueError):
             SefdmConfig(8, 4, 1, 1, QAM4)
 
+    @pytest.mark.parametrize(
+        "dims",
+        [(4.0, 4, 1, 2), (4, True, 1, 2), (4, 4, 1.0, 2), (4, 4, 1, np.float64(2)), ("4", 4, 1, 2)],
+        ids=["float-carriers", "bool-samples", "float-alpha-num", "numpy-float-alpha-den", "str"],
+    )
+    def test_rejects_non_integer_dimensions(self, dims):
+        with pytest.raises(ValueError):
+            SefdmConfig(*dims, QAM4)
+
+    def test_accepts_numpy_integers(self):
+        cfg = SefdmConfig(np.int64(4), np.int32(8), np.uint8(1), np.int16(2), QAM4)
+        assert cfg == SefdmConfig(4, 8, 1, 2, QAM4)
+
     def test_rejects_branches_that_do_not_fit(self):
         # each branch spans ceil(8/6) * 5 = 10 bins, more than M = 8
         with pytest.raises(DimensionError):

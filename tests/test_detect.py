@@ -32,7 +32,6 @@ from sefdm import (
     truncate,
 )
 from sefdm import detect
-from sefdm.txmod import rotation_vector
 from strategies import configs
 
 
@@ -70,7 +69,9 @@ def _reference_stripe_batch(r: np.ndarray, cfg: SefdmConfig, params: StripeParam
 
     groups = [np.arange(k, n_car, c) for k in range(c)]
     layouts = [(syms // c * cfg.alpha_num, syms) for syms in groups]
-    rots = [rotation_vector(k, cfg) for k in range(c)]
+    # Branch k's rotation is carrier k's samples, exp(2 pi i m k b / (c M)).
+    m = np.arange(m_samp)
+    rots = [np.exp(2j * np.pi * m * k * cfg.alpha_num / (c * m_samp)) for k in range(c)]
     re_lo, re_hi, im_lo, im_hi = cfg.alphabet.bounding_box
 
     s_hat = np.zeros((n_blocks, n_car), dtype=complex)
@@ -240,6 +241,12 @@ class TestSlice:
     def test_tie_breaks_to_first_point(self):
         assert slice_symbols(0j, QAM4) == QAM4.points[0]
 
+    def test_non_finite_estimates_rejected(self):
+        # argmin over NaN distances would pick the first point
+        for bad in (np.nan, np.inf, complex(0.0, np.nan), [1 + 1j, complex(-np.inf, 0.0)]):
+            with pytest.raises(DomainError):
+                slice_symbols(bad, QAM4)
+
 
 class TestStripeDecode:
     def test_alpha_one_noiseless(self):
@@ -297,8 +304,10 @@ class TestStripeDecode:
                 stripe_decode_soft(np.stack([r, r]), cfg)
 
     def test_iteration_count_validated(self):
-        with pytest.raises(ValueError):
-            StripeParams(0)
+        for bad in (0, True, 2.5, 20.0, "20"):
+            with pytest.raises(ValueError):
+                StripeParams(bad)
+        assert StripeParams(np.int64(20)) == StripeParams()
 
     def test_runtime_scales_near_linearithmic(self):
         import time
@@ -452,9 +461,45 @@ class TestMatchedFilterDomain:
             stripe_decode(np.ones((2, 4), complex), cfg)
 
     @settings(max_examples=100, deadline=None)
+    @given(cfg=configs(), seed=st.integers(0, 2**32 - 1))
+    def test_metric_identity(self, cfg, seed):
+        # ||r - s C||^2 = M (s G s^H - 2 Re(y . conj(s))) + ||r||^2, the
+        # identity every receiver rests on, for any r and any symbol vector s.
+        gen = RandomSource(seed).generator()
+        m_samp = cfg.n_samples
+        r = gen.standard_normal((5, m_samp)) + 1j * gen.standard_normal((5, m_samp))
+        s = bits_to_symbols(gen.integers(0, 2, size=(5, cfg.bits_per_block)), cfg.alphabet)
+        y, _ = detect._matched_outputs(r, cfg)
+        gram = detect._matched_filter(cfg).gram
+        distance = np.sum(np.abs(r - modulate_direct(s, cfg)) ** 2, axis=1)
+        energy = np.einsum("bn,nm,bm->b", s, gram, s.conj()).real
+        correlation = np.sum(y * s.conj(), axis=1).real
+        metric = m_samp * (energy - 2 * correlation) + np.sum(np.abs(r) ** 2, axis=1)
+        assert metric == pytest.approx(distance, rel=1e-9)
+
+    @settings(max_examples=100, deadline=None)
     @given(cfg=configs())
     def test_branch_groups_are_orthonormal(self, cfg):
         gram = detect._matched_filter(cfg).gram
         for k in range(cfg.alpha_den):
             block = gram[k :: cfg.alpha_den, k :: cfg.alpha_den]
             assert np.max(np.abs(block - np.eye(len(block))), initial=0.0) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda cfg: stripe_decode(5.0, cfg),
+        lambda cfg: stripe_decode_soft(5.0, cfg),
+        lambda cfg: ml_decode(5.0, cfg),
+        lambda cfg: modulate_interleaved(1 + 1j, cfg),
+        lambda cfg: modulate_direct(1 + 1j, cfg),
+        lambda cfg: bits_to_symbols(1, BPSK),
+    ],
+    ids=["stripe_decode", "stripe_decode_soft", "ml_decode", "modulate_interleaved",
+         "modulate_direct", "bits_to_symbols"],
+)
+def test_zero_d_input_is_a_dimension_error(call):
+    # A scalar has no last axis to check; it used to raise IndexError.
+    with pytest.raises(DimensionError):
+        call(SefdmConfig(4, 8, 4, 5, QAM4))

@@ -242,8 +242,15 @@ class TestBerSweep:
         [
             {"alphas": ()}, {"ebn0_db": ()}, {"seed": -1},
             {"alphas": ((1, 2), (1, 2))}, {"ebn0_db": (4.0, 0.0, 4.0)}, {"ebn0_db": (0.0, -0.0)},
+            # Integer fields take integers only: a bool or a float used to be
+            # written to the CSV, or to fail mid-sweep.
+            {"iterations": True}, {"iterations": 2.5}, {"max_symbol_periods": 2.5},
+            {"min_bit_errors": 50.0}, {"seed": 5.0}, {"carriers": 8.0}, {"samples": False},
+            {"alphas": ((1.0, 2),)},
         ],
-        ids=["no-alpha", "no-ebn0", "negative-seed", "repeated-alpha", "repeated-ebn0", "signed-zero"],
+        ids=["no-alpha", "no-ebn0", "negative-seed", "repeated-alpha", "repeated-ebn0", "signed-zero",
+             "bool-iterations", "float-iterations", "float-periods", "float-errors", "float-seed",
+             "float-carriers", "bool-samples", "float-alpha-part"],
     )
     def test_empty_grid_and_negative_seed_rejected(self, change):
         with pytest.raises(ValueError):
@@ -252,6 +259,13 @@ class TestBerSweep:
     def test_iterations_validated_at_spec_construction(self):
         with pytest.raises(ValueError):
             self._small_spec(iterations=0)
+
+    def test_numpy_integers_accepted(self):
+        spec = self._small_spec(
+            carriers=np.int64(8), iterations=np.int32(3), max_symbol_periods=np.uint16(10),
+            seed=np.int64(5), alphas=((np.int64(1), np.int64(2)),),
+        )
+        assert ber_sweep(spec, workers=1)[0].bits == 10 * 16
 
     def test_ofdm_decoder_needs_alpha_one(self):
         self._small_spec(alphas=((1, 1),), decoder="ofdm")

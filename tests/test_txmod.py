@@ -15,7 +15,6 @@ from sefdm import (
     carrier_matrix,
     modulate_direct,
     modulate_interleaved,
-    rotation_vector,
 )
 from sefdm import detect
 from strategies import configs
@@ -38,18 +37,23 @@ def brute_force_modulate(s, cfg):
 
 
 def _reference_interleaved(s, cfg):
-    """The per-branch transmitter: a fresh zeroed spectrum, IFFT, scale and
-    rotation for every one of the c branches, summed into a zeroed output."""
+    """The per-branch transmitter: for every one of the c branches a fresh
+    zeroed spectrum, its unnormalised inverse DFT, and a multiply by carrier
+    k's samples (the carrier matrix's expression, extended to c rows), summed
+    into a zeroed output."""
     s = np.asarray(s, dtype=complex)
     flat = s.reshape(-1, cfg.n_carriers)
     m_samp = cfg.n_samples
     b, c = cfg.alpha_num, cfg.alpha_den
+    n = np.arange(c)[:, None]
+    m = np.arange(m_samp)[None, :]
+    rows = np.exp(2j * np.pi * n * m * b / (c * m_samp))
     u = np.zeros((flat.shape[0], m_samp), dtype=complex)
     for k in range(c):
         carriers = flat[:, k::c]
         spectrum = np.zeros_like(u)
         spectrum[:, : carriers.shape[1] * b : b] = carriers
-        u += np.fft.ifft(spectrum, axis=1) * m_samp * rotation_vector(k, cfg)
+        u += np.fft.ifft(spectrum, axis=1, norm="forward") * rows[k]
     return u.reshape(s.shape[:-1] + (m_samp,))
 
 
@@ -77,14 +81,7 @@ class TestCarrierMatrix:
 
 
 class TestCachedArrays:
-    @pytest.mark.parametrize(
-        "get",
-        [
-            carrier_matrix,
-            lambda cfg: rotation_vector(1, cfg),
-        ],
-        ids=["carrier_matrix", "rotation_vector"],
-    )
+    @pytest.mark.parametrize("get", [carrier_matrix], ids=["carrier_matrix"])
     def test_read_only(self, get):
         cfg = SefdmConfig(6, 12, 2, 3, QAM4)
         pristine = get(cfg).copy()
@@ -185,8 +182,8 @@ class TestModulateInterleaved:
     @given(cfg=configs(), seed=st.integers(0, 2**32 - 1),
            batch=st.sampled_from([(), (5,), (2, 3), (0,)]))
     def test_bit_identical_to_the_per_branch_reference(self, cfg, seed, batch):
-        # The reused spectrum, the skipped branches and the unrotated branch 0
-        # change no bit of the output, for a vector, a batch, a nested batch
+        # The reused spectrum, the skipped branches and branch 0's skipped
+        # multiply change no bit of the output, for a vector, a batch, a nested batch
         # and an empty batch alike.
         gen = RandomSource(seed).generator()
         shape = batch + (cfg.n_carriers,)
@@ -222,11 +219,12 @@ class TestModulateInterleaved:
     def test_subsystem_zero_and_rotation_identity(self):
         cfg = SefdmConfig(12, 12, 5, 6, QAM4)
         assert modulate_interleaved(np.zeros(12, complex), cfg) == pytest.approx(np.zeros(12))
-        assert rotation_vector(0, cfg) == pytest.approx(np.ones(12))
+        # carrier 0's samples are exactly 1, so branch 0 needs no multiply
+        assert np.array_equal(carrier_matrix(cfg)[0], np.ones(12))
 
     def test_single_subsystem_input_is_additive(self):
-        # branch k alone is plain OFDM on bins 0, b, 2b, ..., rotated by r(k);
-        # branch 0's rotation is the identity
+        # branch k alone is plain OFDM on bins 0, b, 2b, ... times carrier k's
+        # samples, row k of the carrier matrix
         for n, m, b, c in [(12, 12, 5, 6), (9, 15, 2, 3)]:
             cfg = SefdmConfig(n, m, b, c, QAM4)
             s = _random_symbols(cfg, RandomSource(7).generator())
@@ -235,7 +233,7 @@ class TestModulateInterleaved:
                 s_k[k::c] = s[k::c]  # subsystem k only
                 spectrum = np.zeros(m, complex)
                 spectrum[np.arange(len(s[k::c])) * b] = s[k::c]
-                expected = np.fft.ifft(spectrum) * m * rotation_vector(k, cfg)
+                expected = np.fft.ifft(spectrum) * m * carrier_matrix(cfg)[k]
                 assert modulate_interleaved(s_k, cfg) == pytest.approx(expected)
 
     def test_linearity(self):
