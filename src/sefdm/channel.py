@@ -8,6 +8,7 @@ enter the modulation path.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,9 +23,9 @@ class NoiseSpec:
     Eb is the ensemble-average energy per bit, M*Es/bits_per_symbol (the
     cross-carrier terms vanish in expectation for every alpha), so the noise
     level is constant across blocks. ebn0_db = +inf is the exact no-noise
-    sentinel (sigma2 = 0); NaN and -inf are rejected, and so is a finite
-    Eb/N0 whose linear value overflows (above about 3082 dB) or whose sigma2
-    would. A sigma2 that is not finite and non-negative is rejected too.
+    sentinel (sigma2 = 0); a bool or non-real Eb/N0, NaN and -inf are
+    rejected, and so is a finite Eb/N0 whose linear value overflows (above
+    about 3082 dB) or whose sigma2 would. A sigma2 that is not finite and non-negative is rejected too.
     """
 
     ebn0_db: float
@@ -39,6 +40,8 @@ class NoiseSpec:
 
     @classmethod
     def from_config(cls, ebn0_db: float, cfg: SefdmConfig) -> "NoiseSpec":
+        if isinstance(ebn0_db, bool) or not isinstance(ebn0_db, numbers.Real):
+            raise DomainError(f"Eb/N0 must be a real number, got {ebn0_db!r}")
         if math.isnan(ebn0_db) or ebn0_db == -math.inf:
             raise DomainError(f"Eb/N0 must be finite or +inf, got {ebn0_db}")
         if ebn0_db == math.inf:

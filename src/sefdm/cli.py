@@ -17,7 +17,7 @@ import typing
 from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 
-from .core import CapacityError, get_alphabet
+from .core import _ALPHABETS, CapacityError, get_alphabet
 from .harness import DECODERS, BerRecord, SweepSpec, ber_sweep, theoretical_ber
 
 CSV_HEADER = ",".join(f.name for f in fields(BerRecord))
@@ -68,8 +68,11 @@ def _parse_ebn0_list(text: str) -> tuple[float, ...]:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # An option left out is absent from the namespace, so SweepSpec's own
+    # defaults apply; the sweep options' dests are SweepSpec's field names.
     parser = argparse.ArgumentParser(
-        prog="sefdm", description="SEFDM Monte Carlo BER sweep runner"
+        prog="sefdm", description="SEFDM Monte Carlo BER sweep runner",
+        argument_default=argparse.SUPPRESS,
     )
     # Read any argument that begins with "-" and a digit, or "-." and a digit,
     # as a value, so that a grid below zero (--ebn0 -3:3:1, --ebn0-list -2,0)
@@ -87,15 +90,15 @@ def _build_parser() -> argparse.ArgumentParser:
         "--alpha", action="append", required=True, metavar="B/C",
         help="compression ratio; repeat for one curve per alpha",
     )
-    parser.add_argument("--alphabet", choices=("bpsk", "qam4"), default="qam4")
+    parser.add_argument("--alphabet", choices=tuple(_ALPHABETS))
     ebn0 = parser.add_mutually_exclusive_group(required=True)
     ebn0.add_argument("--ebn0", metavar="START:STOP:STEP", help="Eb/N0 grid in dB")
     ebn0.add_argument("--ebn0-list", metavar="V1,V2,...", help="explicit Eb/N0 points in dB")
-    parser.add_argument("--decoder", choices=DECODERS, default="stripe")
-    parser.add_argument("--iterations", type=int, default=20, metavar="J")
-    parser.add_argument("--min-errors", type=int, default=100, metavar="E")
-    parser.add_argument("--max-periods", type=int, default=1_000_000, metavar="P")
-    parser.add_argument("--seed", type=int, default=0, metavar="S")
+    parser.add_argument("--decoder", choices=DECODERS)
+    parser.add_argument("--iterations", type=int, metavar="J")
+    parser.add_argument("--min-errors", type=int, dest="min_bit_errors", metavar="E")
+    parser.add_argument("--max-periods", type=int, dest="max_symbol_periods", metavar="P")
+    parser.add_argument("--seed", type=int, metavar="S")
     parser.add_argument("--out", default="sefdm_results", metavar="PATH")
     parser.add_argument("--format", choices=("csv", "svg", "both"), default="csv")
     return parser
@@ -107,39 +110,28 @@ def parse_args(argv) -> CliConfig:
     Only the text and the files --out names are checked here: SweepSpec and
     SefdmConfig validate the values, and their ValueError becomes a UsageError.
     """
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    for path in _output_paths(args.out, args.format).values():
+    # After the pops, `options` holds the sweep options given, and no others.
+    options = vars(_build_parser().parse_args(argv))
+    out, fmt = options.pop("out"), options.pop("format")
+    for path in _output_paths(out, fmt).values():
         if not path.parent.is_dir():
-            raise UsageError(f"--out {args.out!r}: {str(path.parent)!r} is not a directory")
+            raise UsageError(f"--out {out!r}: {str(path.parent)!r} is not a directory")
         if path.is_dir():
-            raise UsageError(f"--out {args.out!r}: {str(path)!r} is a directory")
-    if args.oversample is not None:
-        samples = args.oversample * args.carriers
-    elif args.samples is not None:
-        samples = args.samples
-    else:
-        samples = args.carriers
+            raise UsageError(f"--out {out!r}: {str(path)!r} is a directory")
+    carriers = options.pop("carriers")
+    samples = options.pop("samples", carriers)
+    if "oversample" in options:  # --samples and --oversample exclude each other
+        samples = options.pop("oversample") * carriers
 
-    alphas = tuple(_parse_alpha(a) for a in args.alpha)
-    ebn0 = _parse_ebn0_range(args.ebn0) if args.ebn0 else _parse_ebn0_list(args.ebn0_list)
+    alphas = tuple(_parse_alpha(a) for a in options.pop("alpha"))
+    ebn0 = (_parse_ebn0_range(options.pop("ebn0")) if "ebn0" in options
+            else _parse_ebn0_list(options.pop("ebn0_list")))
 
     try:
-        spec = SweepSpec(
-            carriers=args.carriers,
-            samples=samples,
-            alphas=alphas,
-            ebn0_db=ebn0,
-            alphabet=args.alphabet,
-            decoder=args.decoder,
-            iterations=args.iterations,
-            min_bit_errors=args.min_errors,
-            max_symbol_periods=args.max_periods,
-            seed=args.seed,
-        )
+        spec = SweepSpec(carriers, samples, alphas, ebn0, **options)
     except (ValueError, CapacityError) as exc:
         raise UsageError(str(exc)) from None
-    return CliConfig(spec=spec, out=args.out, fmt=args.format)
+    return CliConfig(spec=spec, out=out, fmt=fmt)
 
 
 def _output_paths(out: str, fmt: str) -> dict[str, Path]:

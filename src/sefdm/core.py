@@ -50,6 +50,8 @@ class Alphabet:
             raise ValueError("need one label of log2(|points|) bits per point")
         if len(set(self.labels)) != n:
             raise ValueError("labels must be distinct")
+        if not {bit for label in self.labels for bit in label} <= {0, 1}:
+            raise ValueError("labels must be made of bits 0 and 1")
 
     @property
     def bits_per_symbol(self) -> int:
@@ -164,18 +166,6 @@ def _as_generator(rng) -> np.random.Generator:
     return rng
 
 
-def _label_lut(alphabet: Alphabet) -> np.ndarray:
-    """Map label-as-integer -> point index."""
-    bps = alphabet.bits_per_symbol
-    lut = np.empty(2**bps, dtype=np.intp)
-    for idx, label in enumerate(alphabet.labels):
-        val = 0
-        for bit in label:
-            val = (val << 1) | bit
-        lut[val] = idx
-    return lut
-
-
 def bits_to_symbols(bits, alphabet: Alphabet) -> np.ndarray:
     """Map a bit sequence to constellation symbols, bits_per_symbol bits each.
 
@@ -191,8 +181,10 @@ def bits_to_symbols(bits, alphabet: Alphabet) -> np.ndarray:
     # Explicit lengths: a -1 cannot be resolved when a batch axis is empty.
     groups = bits.reshape(bits.shape[:-1] + (bits.shape[-1] // bps, bps))
     weights = 1 << np.arange(bps - 1, -1, -1)
-    ints = groups @ weights
-    return alphabet.points_array()[_label_lut(alphabet)[ints]]
+    # The labels are distinct bps-bit integers, so sorting the points by
+    # label puts the point labelled v at position v.
+    by_label = alphabet.points_array()[np.argsort(np.asarray(alphabet.labels) @ weights)]
+    return by_label[groups @ weights]
 
 
 def symbols_to_bits(symbols, alphabet: Alphabet) -> np.ndarray:

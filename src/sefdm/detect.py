@@ -56,7 +56,7 @@ from .core import (
     SefdmConfig,
     _check_int,
 )
-from .txmod import carrier_matrix
+from .txmod import _read_only, carrier_matrix
 
 # Squared-distance threshold under which a soft estimate counts as exactly on
 # a constellation point (distance < 1e-12).
@@ -196,8 +196,8 @@ class _MatchedFilter(NamedTuple):
 @lru_cache(maxsize=64)
 def _matched_filter(cfg: SefdmConfig) -> _MatchedFilter:
     matrix = carrier_matrix(cfg)
-    matched = np.ascontiguousarray(matrix.conj().T) / cfg.n_samples
-    gram = matrix @ matched
+    matched = _read_only(np.ascontiguousarray(matrix.conj().T) / cfg.n_samples)
+    gram = _read_only(matrix @ matched)
     c, real = cfg.alpha_den, _is_real(cfg.alphabet)
     weights = []
     for k in range(c):
@@ -208,14 +208,14 @@ def _matched_filter(cfg: SefdmConfig) -> _MatchedFilter:
         others = -gram[:, k::c]
         others[k::c] = 0
         if real:
-            weights.append(others.real.copy())
+            weights.append(_read_only(others.real.copy()))
             continue
         embedded = np.empty((2 * cfg.n_carriers, 2 * others.shape[1]))
         embedded[0::2, 0::2] = others.real
         embedded[0::2, 1::2] = others.imag
         embedded[1::2, 0::2] = -others.imag
         embedded[1::2, 1::2] = others.real
-        weights.append(embedded)
+        weights.append(_read_only(embedded))
     return _MatchedFilter(matched, gram, tuple(weights))
 
 
@@ -323,15 +323,15 @@ def _ml_symbols(cfg: SefdmConfig, index: np.ndarray) -> np.ndarray:
 def _ml_weights(cfg: SefdmConfig, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
     """(2N, K) weights and (K,) energies of candidates start..stop-1.
 
-    With x = [Re y, Im y], x @ weights = 2 Re(y . conj(s)) and the energies
-    are s G s^H, each computed by a fixed-order sum so that a candidate's
+    On the float views x = y.view(float) = [Re y_0, Im y_0, Re y_1, ...] and
+    weights = 2 s.view(float).T, x @ weights = 2 Re(y . conj(s)); the
+    energies are s G s^H. Each is a fixed-order sum, so that a candidate's
     metric does not depend on the chunk it falls in.
     """
     candidates = _ml_symbols(cfg, np.arange(start, stop))
     gram = _matched_filter(cfg).gram
     energies = np.einsum("kn,nm,km->k", candidates, gram, candidates.conj()).real
-    weights = 2 * np.concatenate([candidates.real, candidates.imag], axis=1).T
-    return np.ascontiguousarray(weights), energies
+    return np.ascontiguousarray(2 * candidates.view(float).T), energies
 
 
 def ml_decode(r, cfg: SefdmConfig) -> np.ndarray:
@@ -343,7 +343,7 @@ def ml_decode(r, cfg: SefdmConfig) -> np.ndarray:
     """
     check_ml_guard(cfg)
     y, batch = _matched_outputs(r, cfg)
-    x = np.concatenate([y.real, y.imag], axis=1)
+    x = y.view(float)
     count = ml_capacity(cfg)
     chunk = _ml_chunk(len(y), cfg.n_carriers)
     best_metric = np.full(len(y), np.inf)

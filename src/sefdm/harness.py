@@ -46,6 +46,16 @@ DECODERS = ("stripe", "ml", "ofdm")
 _BATCH_PERIODS = 1024
 
 
+def _check_decoder(decoder: str, cfg: SefdmConfig) -> None:
+    """The decoder rules: a known name, alpha = 1 for ofdm, the ML guard for ml."""
+    if decoder not in DECODERS:
+        raise DomainError(f"unknown decoder {decoder!r}")
+    if decoder == "ofdm" and cfg.alpha_num != cfg.alpha_den:
+        raise DomainError(f"the ofdm decoder needs alpha = 1, got {cfg.alpha_num}/{cfg.alpha_den}")
+    if decoder == "ml":
+        check_ml_guard(cfg)
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """One BER experiment: a config template swept over alphas and Eb/N0 points.
@@ -60,7 +70,7 @@ class SweepSpec:
     ebn0_db: tuple[float, ...]
     alphabet: str = "qam4"
     decoder: str = "stripe"
-    iterations: int = 20
+    iterations: int = StripeParams.iterations
     min_bit_errors: int = 100
     max_symbol_periods: int = 1_000_000
     seed: int = 0
@@ -80,16 +90,11 @@ class SweepSpec:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         # StripeParams and NoiseSpec are built here for their input checks only.
         StripeParams(self.iterations)
-        if self.decoder not in DECODERS:
-            raise DomainError(f"unknown decoder {self.decoder!r}")
         for b, c in self.alphas:
             cfg = self.config(b, c)
+            _check_decoder(self.decoder, cfg)
             for ebn0 in self.ebn0_db:
                 NoiseSpec.from_config(ebn0, cfg)
-            if self.decoder == "ml":
-                check_ml_guard(cfg)
-            if self.decoder == "ofdm" and b != c:
-                raise DomainError(f"the ofdm decoder needs alpha = 1, got {b}/{c}")
 
     def config(self, alpha_num: int, alpha_den: int) -> SefdmConfig:
         return SefdmConfig(
@@ -167,10 +172,10 @@ def run_block(
 
     Pipeline: random bits -> symbols -> interleaved modulation -> AWGN ->
     decode -> bits; deterministic given the rng stream. `params` sets the
-    stripe decoder's iteration count.
+    stripe decoder's iteration count. The decoder must pass the rules
+    SweepSpec checks: a known name, alpha = 1 for ofdm, the ML guard for ml.
     """
-    if decoder not in DECODERS:
-        raise DomainError(f"unknown decoder {decoder!r}")
+    _check_decoder(decoder, cfg)
     gen = _as_generator(rng)
     bps = cfg.alphabet.bits_per_symbol
     bits = gen.integers(0, 2, size=(blocks, cfg.n_carriers * bps))

@@ -38,6 +38,19 @@ class TestNoiseSpec:
         with pytest.raises(DomainError):
             NoiseSpec.from_config(ebn0_db, SefdmConfig(8, 8, 1, 1, QAM4))
 
+    @pytest.mark.parametrize("ebn0_db", [True, False, np.bool_(True), "4.0", 4 + 0j, None])
+    def test_bool_and_non_real_rejected(self, ebn0_db):
+        with pytest.raises(DomainError):
+            NoiseSpec.from_config(ebn0_db, SefdmConfig(8, 8, 1, 1, QAM4))
+
+    @pytest.mark.parametrize("ebn0_db", [4, np.int64(4), np.float32(4.0), np.float64(4.0)])
+    def test_numpy_and_integer_ebn0_accepted(self, ebn0_db):
+        cfg = SefdmConfig(8, 8, 1, 1, QAM4)
+        assert NoiseSpec.from_config(ebn0_db, cfg).sigma2 == pytest.approx(
+            NoiseSpec.from_config(4.0, cfg).sigma2
+        )
+        assert NoiseSpec.from_config(np.float64(math.inf), cfg).sigma2 == 0.0
+
     @pytest.mark.parametrize("ebn0_db", [3083.0, 4000.0, 1e308])
     def test_overflowing_ebn0_rejected_with_a_hint(self, ebn0_db):
         # 10 ** (ebn0_db / 10) overflows a float above about 3082.5 dB

@@ -83,6 +83,20 @@ class TestParseArgs:
         assert cfg.spec.alphas == ((1, 2), (3, 4))
         assert cfg.spec.ebn0_db == (1.0, 2.5, 4.0)
 
+    def test_left_out_options_take_sweep_spec_defaults(self):
+        cfg = parse_args("--carriers 16 --alpha 5/6 --ebn0-list 4".split())
+        assert cfg.spec == SweepSpec(16, 16, ((5, 6),), (4.0,))
+
+    def test_sweep_options_reach_their_fields(self):
+        cfg = parse_args(
+            "--carriers 4 --alpha 3/4 --ebn0-list 8 --alphabet bpsk --decoder ml "
+            "--iterations 7 --min-errors 9 --max-periods 11 --seed 13".split()
+        )
+        assert cfg.spec == SweepSpec(
+            4, 4, ((3, 4),), (8.0,), alphabet="bpsk", decoder="ml", iterations=7,
+            min_bit_errors=9, max_symbol_periods=11, seed=13,
+        )
+
     def test_default_samples_equal_carriers(self):
         cfg = parse_args("--carriers 16 --alpha 5/6 --ebn0-list 4".split())
         assert cfg.spec.samples == 16
@@ -134,6 +148,12 @@ class TestParseArgs:
     def test_malformed_ebn0_range(self):
         with pytest.raises(UsageError):
             parse_args("--carriers 8 --alpha 1/2 --ebn0 4:2".split())
+
+    def test_empty_ebn0_range(self):
+        # An empty --ebn0 once fell through to the --ebn0-list parser and
+        # raised AttributeError.
+        with pytest.raises(UsageError):
+            parse_args(["--carriers", "8", "--alpha", "1/2", "--ebn0", ""])
 
     def test_negative_ebn0_range_as_separate_argument(self):
         cfg = parse_args("--carriers 8 --alpha 1/2 --ebn0 -3:3:1".split())

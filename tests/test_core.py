@@ -61,6 +61,10 @@ class TestAlphabet:
         with pytest.raises(ValueError):
             Alphabet("bad", (1 + 0j, 1 + 0j), ((0,), (1,)))
 
+    def test_rejects_labels_that_are_not_bits(self):
+        with pytest.raises(ValueError):
+            Alphabet("bad", (1 + 0j, -1 + 0j), ((0,), (2,)))
+
 
 class TestBitMapping:
     def test_bpsk_anchor(self):
@@ -113,6 +117,16 @@ class TestBitMapping:
         bits = np.random.default_rng(seed).integers(0, 2, size=shape)
         back = symbols_to_bits(bits_to_symbols(bits, alphabet), alphabet)
         assert back.shape == bits.shape and np.array_equal(back, bits)
+
+    def test_labels_out_of_point_order(self):
+        # Labels 11, 00, 10, 01: neither the points' order nor a Gray ring.
+        labels = ((1, 1), (0, 0), (1, 0), (0, 1))
+        alphabet = Alphabet("custom", (2 + 0j, 1j, -3 + 0j, -0.5j), labels)
+        reference = dict(zip(labels, alphabet.points))
+        bits = np.random.default_rng(4).integers(0, 2, size=(3, 40))
+        expected = [[reference[tuple(pair)] for pair in row.reshape(-1, 2)] for row in bits]
+        assert np.array_equal(bits_to_symbols(bits, alphabet), np.array(expected))
+        assert np.array_equal(symbols_to_bits(bits_to_symbols(bits, alphabet), alphabet), bits)
 
     def test_batch_shape(self):
         gen = np.random.default_rng(3)

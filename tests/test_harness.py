@@ -12,6 +12,7 @@ from sefdm import (
     BPSK,
     QAM4,
     Alphabet,
+    CapacityError,
     DomainError,
     RandomSource,
     SefdmConfig,
@@ -138,6 +139,14 @@ class TestRunBlock:
         with pytest.raises(DomainError):
             run_block(cfg, 4.0, "mmse", RandomSource(0))
 
+    def test_decoder_rules_checked(self):
+        # Decoded as OFDM, N8/M8 alpha 1/2 QAM4 used to give 234 bit errors
+        # in 1,600 bits with no noise.
+        with pytest.raises(DomainError, match="alpha = 1"):
+            run_block(SefdmConfig(8, 8, 1, 2, QAM4), math.inf, "ofdm", RandomSource(0), blocks=100)
+        with pytest.raises(CapacityError):
+            run_block(SefdmConfig(12, 12, 5, 6, QAM4), 4.0, "ml", RandomSource(0))
+
     def test_iteration_count_reaches_decoder(self, monkeypatch):
         seen = []
         decode = harness.stripe_decode
@@ -247,10 +256,14 @@ class TestBerSweep:
             {"iterations": True}, {"iterations": 2.5}, {"max_symbol_periods": 2.5},
             {"min_bit_errors": 50.0}, {"seed": 5.0}, {"carriers": 8.0}, {"samples": False},
             {"alphas": ((1.0, 2),)},
+            # Eb/N0 points are real numbers: True used to be written to the CSV.
+            {"ebn0_db": (True,)}, {"ebn0_db": (4.0, False)}, {"ebn0_db": ("4",)},
+            {"ebn0_db": (4 + 0j,)},
         ],
         ids=["no-alpha", "no-ebn0", "negative-seed", "repeated-alpha", "repeated-ebn0", "signed-zero",
              "bool-iterations", "float-iterations", "float-periods", "float-errors", "float-seed",
-             "float-carriers", "bool-samples", "float-alpha-part"],
+             "float-carriers", "bool-samples", "float-alpha-part", "bool-ebn0", "bool-second-ebn0",
+             "str-ebn0", "complex-ebn0"],
     )
     def test_empty_grid_and_negative_seed_rejected(self, change):
         with pytest.raises(ValueError):

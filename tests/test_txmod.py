@@ -1,5 +1,7 @@
 """Transmitter paths: carrier matrix, direct and interleaved modulation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -80,8 +82,25 @@ class TestCarrierMatrix:
         assert mat[:, 0] == pytest.approx(np.ones(6))
 
 
+def _receiver_arrays(alphabet):
+    """Getters of the receiver's cached arrays for cfg with `alphabet`."""
+    def front(cfg):
+        return detect._matched_filter(dataclasses.replace(cfg, alphabet=alphabet))
+
+    getters = {
+        f"{alphabet.name}-weights{k}": lambda cfg, k=k: front(cfg).weights[k] for k in range(3)
+    }
+    if alphabet == QAM4:
+        getters.update({"matched": lambda cfg: front(cfg).matched,
+                        "gram": lambda cfg: front(cfg).gram})
+    return getters
+
+
+_CACHED = {"carrier_matrix": carrier_matrix, **_receiver_arrays(QAM4), **_receiver_arrays(BPSK)}
+
+
 class TestCachedArrays:
-    @pytest.mark.parametrize("get", [carrier_matrix], ids=["carrier_matrix"])
+    @pytest.mark.parametrize("get", _CACHED.values(), ids=_CACHED.keys())
     def test_read_only(self, get):
         cfg = SefdmConfig(6, 12, 2, 3, QAM4)
         pristine = get(cfg).copy()
