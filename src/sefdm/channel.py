@@ -67,20 +67,21 @@ def add_awgn(u, spec: NoiseSpec, rng) -> np.ndarray:
     same again, each scaled by sqrt(sigma2 / 2); at sigma2 = 0 nothing is
     drawn and a copy of ``u`` is returned. A channel that replaces this one
     in the Monte Carlo loop must draw the same normals in the same order.
-    The input is not modified.
+    The input is not modified; a 0-d input gives a numpy complex scalar.
     """
     u = np.asarray(u, dtype=complex)
     if spec.sigma2 == 0.0:
-        return u.copy()
-    gen = _as_generator(rng)
-    scale = math.sqrt(spec.sigma2 / 2.0)
-    out = np.empty_like(u)
-    draw = gen.standard_normal(u.shape)
-    draw *= scale
-    np.add(u.real, draw, out=out.real)
-    gen.standard_normal(out=draw)
-    draw *= scale
-    np.add(u.imag, draw, out=out.imag)
+        out = u.copy()
+    else:
+        gen = _as_generator(rng)
+        scale = math.sqrt(spec.sigma2 / 2.0)
+        out = np.empty_like(u)
+        draw = gen.standard_normal(u.shape)
+        draw *= scale
+        np.add(u.real, draw, out=out.real)
+        gen.standard_normal(out=draw)
+        draw *= scale
+        np.add(u.imag, draw, out=out.imag)
     return out if out.ndim else out[()]
 
 

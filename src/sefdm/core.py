@@ -170,9 +170,14 @@ def bits_to_symbols(bits, alphabet: Alphabet) -> np.ndarray:
     """Map a bit sequence to constellation symbols, bits_per_symbol bits each.
 
     Accepts any leading batch shape; the last axis must be a multiple of
-    bits_per_symbol. Inverse of symbols_to_bits.
+    bits_per_symbol. Every entry must be 0 or 1 (bool accepted; DomainError
+    otherwise). Inverse of symbols_to_bits.
     """
-    bits = np.asarray(bits, dtype=np.intp)
+    bits = np.asarray(bits)
+    # Compared by value before the integer cast, which would truncate 0.7 to 0.
+    if not ((bits == 0) | (bits == 1)).all():
+        raise DomainError("bits must be 0 or 1")
+    bits = bits.astype(np.intp, copy=False)
     bps = alphabet.bits_per_symbol
     if bits.ndim == 0 or bits.shape[-1] % bps != 0:
         raise DimensionError(

@@ -32,10 +32,14 @@ embedding, and y_K is Re y[:, k::c]. A complex alphabet needs equal real and
 imaginary ranges (DomainError otherwise). Gravity toward BPSK's +-1 has the
 closed form 2x / (1 + x^2), exact at +-1; toward QAM4's +-1+-1j it is closed
 too (`_pull_qam4`). Each maps every point exactly to itself. The public
-`gravity` remains the generic pull, used for every other alphabet.
+`gravity` is computed from its definition, the inverse-square weighted
+centroid over a trailing point axis, and pulls every alphabet without a
+closed form.
 
 The ML decoder minimises s G s^H - 2 Re(y . conj(s)) over every candidate
-symbol vector, in chunks whose working memory is bounded.
+symbol vector in one loop over chunks whose working memory is bounded: each
+chunk's candidates are built, scored and dropped, and each block keeps its
+best candidate so far.
 """
 
 from __future__ import annotations
@@ -90,24 +94,12 @@ def gravity(est, alphabet: Alphabet):
     """
     e = np.asarray(est, dtype=complex)
     points = alphabet.points_array()
-    flat = e.reshape(-1)
-    # (P, L) squared distances, constellation points first, so that every
-    # reduction over the points runs across whole rows.
-    d2 = np.subtract.outer(points.real, flat.real)
-    d2 *= d2
-    dy = np.subtract.outer(points.imag, flat.imag)
-    dy *= dy
-    d2 += dy
+    d2 = np.abs(e[..., None] - points) ** 2
     hit = d2 < _EXACT_HIT_SQ
     with np.errstate(divide="ignore"):
-        w = np.divide(1.0, d2, out=d2)
-    # Exact hits would divide by ~0; replace their weight columns by an indicator.
-    w = np.where(hit.any(axis=0), hit, w)
-    total = w.sum(axis=0)
-    out = np.empty(flat.shape, dtype=complex)
-    np.divide(points.real @ w, total, out=out.real)
-    np.divide(points.imag @ w, total, out=out.imag)
-    out = out.reshape(e.shape)
+        # Exact hits would divide by ~0; their rows take indicator weights.
+        w = np.where(hit.any(axis=-1, keepdims=True), hit, 1.0 / d2)
+    out = (w @ points) / w.sum(axis=-1)
     return complex(out) if np.isscalar(est) or e.ndim == 0 else out
 
 
@@ -293,17 +285,15 @@ def _stripe_batch(y: np.ndarray, cfg: SefdmConfig, params: StripeParams) -> np.n
     return s_hat
 
 
-def ml_capacity(cfg: SefdmConfig) -> int:
-    return len(cfg.alphabet.points) ** cfg.n_carriers
-
-
-def check_ml_guard(cfg: SefdmConfig) -> None:
-    count = ml_capacity(cfg)
+def check_ml_guard(cfg: SefdmConfig) -> int:
+    """The candidate count |alphabet|^N; CapacityError above the guard."""
+    count = len(cfg.alphabet.points) ** cfg.n_carriers
     if count > _ML_GUARD:
         raise CapacityError(
             f"{len(cfg.alphabet.points)}^{cfg.n_carriers} = {count} candidates "
             f"exceeds the enumeration guard of {_ML_GUARD}"
         )
+    return count
 
 
 def _ml_chunk(blocks: int, n_car: int) -> int:
@@ -320,20 +310,6 @@ def _ml_symbols(cfg: SefdmConfig, index: np.ndarray) -> np.ndarray:
     return points[(index[:, None] // powers) % size]
 
 
-def _ml_weights(cfg: SefdmConfig, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-    """(2N, K) weights and (K,) energies of candidates start..stop-1.
-
-    On the float views x = y.view(float) = [Re y_0, Im y_0, Re y_1, ...] and
-    weights = 2 s.view(float).T, x @ weights = 2 Re(y . conj(s)); the
-    energies are s G s^H. Each is a fixed-order sum, so that a candidate's
-    metric does not depend on the chunk it falls in.
-    """
-    candidates = _ml_symbols(cfg, np.arange(start, stop))
-    gram = _matched_filter(cfg).gram
-    energies = np.einsum("kn,nm,km->k", candidates, gram, candidates.conj()).real
-    return np.ascontiguousarray(2 * candidates.view(float).T), energies
-
-
 def ml_decode(r, cfg: SefdmConfig) -> np.ndarray:
     """Exhaustive minimum-distance decoding over every candidate symbol vector.
 
@@ -341,27 +317,26 @@ def ml_decode(r, cfg: SefdmConfig) -> np.ndarray:
     candidate in odometer order over the constellation indices. Accepts a
     length-M vector or a (..., M) batch.
     """
-    check_ml_guard(cfg)
+    count = check_ml_guard(cfg)
     y, batch = _matched_outputs(r, cfg)
     x = y.view(float)
-    count = ml_capacity(cfg)
+    gram = _matched_filter(cfg).gram
     chunk = _ml_chunk(len(y), cfg.n_carriers)
+    rows = np.arange(len(y))
     best_metric = np.full(len(y), np.inf)
     best_index = np.zeros(len(y), dtype=np.int64)
     for start in range(0, count, chunk):
-        stop = min(start + chunk, count)
-        val, arg = _ml_chunk_best(x, *_ml_weights(cfg, start, stop))
+        s = _ml_symbols(cfg, np.arange(start, min(start + chunk, count)))
+        # ||r - s C||^2 / M up to the common ||r||^2 / M term: s G s^H minus
+        # 2 Re(y . conj(s)), which on the float views [Re y_0, Im y_0, ...] is
+        # x @ (2 s.view(float).T). Each is a fixed-order sum, so a candidate's
+        # metric does not depend on the chunk it falls in.
+        metric = x @ np.ascontiguousarray(2 * s.view(float).T)
+        np.subtract(np.einsum("kn,nm,km->k", s, gram, s.conj()).real, metric, out=metric)
+        arg = metric.argmin(axis=1)
+        val = metric[rows, arg]
+        del metric  # one B x chunk block at a time
         better = val < best_metric  # strict: earlier candidates win ties
         best_metric[better] = val[better]
         best_index[better] = start + arg[better]
     return _ml_symbols(cfg, best_index).reshape(batch + (cfg.n_carriers,))
-
-
-def _ml_chunk_best(x: np.ndarray, weights: np.ndarray, energies: np.ndarray):
-    """(metric, position) of each block's best candidate within one chunk;
-    the earliest wins ties. The B x chunk metric block is freed on return."""
-    # ||r - s C||^2 / M up to the common ||r||^2 / M term.
-    metric = x @ weights
-    np.subtract(energies, metric, out=metric)
-    arg = metric.argmin(axis=1)
-    return metric[np.arange(len(x)), arg], arg

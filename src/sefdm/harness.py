@@ -174,7 +174,11 @@ def run_block(
     decode -> bits; deterministic given the rng stream. `params` sets the
     stripe decoder's iteration count. The decoder must pass the rules
     SweepSpec checks: a known name, alpha = 1 for ofdm, the ML guard for ml.
+    `blocks` must be a positive integer.
     """
+    _check_int("blocks", blocks)
+    if blocks < 1:
+        raise ValueError(f"blocks must be positive, got {blocks}")
     _check_decoder(decoder, cfg)
     gen = _as_generator(rng)
     bps = cfg.alphabet.bits_per_symbol
@@ -248,8 +252,11 @@ def ber_sweep(spec: SweepSpec, workers: int = 1) -> list[BerRecord]:
     Records come back in grid order (alphas in spec order, Eb/N0 in spec
     order) and are bit-identical for any worker count. The pool is capped at
     the grid's point count and the usable cores; with a cap of one the
-    points run serially in this process.
+    points run serially in this process. `workers` must be a positive integer.
     """
+    _check_int("workers", workers)
+    if workers < 1:
+        raise ValueError(f"workers must be positive, got {workers}")
     run = functools.partial(_run_point, spec)
     points = range(len(spec.alphas) * len(spec.ebn0_db))
     workers = min(workers, len(points), _usable_cores())

@@ -123,6 +123,11 @@ class TestAwgnStream:
         assert isinstance(got, np.complex128) and got == want
         assert _state(gen) == _state(twin)
 
+    def test_zero_d_input_without_noise_gives_a_complex_scalar(self):
+        # The same type as with noise; it used to be a 0-d array.
+        got = add_awgn(1 - 2j, NoiseSpec(math.inf, 0.0), RandomSource(35).generator())
+        assert isinstance(got, np.complex128) and got == 1 - 2j
+
     def test_no_noise_is_a_copy_and_draws_nothing(self):
         gen = RandomSource(34).generator()
         before = _state(gen)
@@ -185,6 +190,11 @@ class TestInterference:
             interference_continuous(2, 2, 0.8)
         with pytest.raises(DomainError):
             interference_discrete(2, 2, 0.8, 16)
+
+    @pytest.mark.parametrize("n_samples", [0, -4])
+    def test_non_positive_sample_count_rejected(self, n_samples):
+        with pytest.raises(DomainError):
+            interference_discrete(1, 0, 0.8, n_samples)
 
     def test_single_sample_has_no_rotation(self):
         # M=1: rotation factor exp(0) = 1 and the sinc ratio is unity

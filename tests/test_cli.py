@@ -263,6 +263,11 @@ class TestEmitPlot:
         assert "<path d=" in text  # distinct marker for the zero-error point
         _assert_finite_coordinates(path)
 
+    def test_empty_rejected(self, tmp_path):
+        with pytest.raises(ValueError):
+            emit_plot([], tmp_path / "no.svg")
+        assert not (tmp_path / "no.svg").exists()
+
     def test_infinite_ebn0_at_right_end_of_axis(self, tmp_path):
         path = tmp_path / "plot.svg"
         emit_plot(_tiny_records(ebn0=(2.0, math.inf)), path)
@@ -383,6 +388,11 @@ class TestMain:
             "--alpha 1/1 --decoder ofdm --ebn0-list 4000",
             "--alpha 1/2 --ebn0-list 4,1e308",
             "--alpha 1/2 --ebn0-list=-4000",
+            "--alpha 1/2 --ebn0 0:4:0",
+            "--alpha 1/2 --ebn0 0:4:-1",
+            "--alpha 1/2 --ebn0 4:0:1",
+            "--alpha 1/2 --ebn0-list 4,x",
+            "--alpha 1/2 --ebn0-list 4,,6",
         ],
     )
     def test_bad_sweep_is_a_usage_error(self, args, tmp_path, capsys):

@@ -65,6 +65,15 @@ class TestAlphabet:
         with pytest.raises(ValueError):
             Alphabet("bad", (1 + 0j, -1 + 0j), ((0,), (2,)))
 
+    @pytest.mark.parametrize(
+        "labels",
+        [((0,),), ((0,), (1,), (1,)), ((0, 0), (1,)), ((1,), (1,))],
+        ids=["too-few", "too-many", "too-long", "repeated"],
+    )
+    def test_rejects_labels_that_do_not_name_each_point_once(self, labels):
+        with pytest.raises(ValueError):
+            Alphabet("bad", (1 + 0j, -1 + 0j), labels)
+
 
 class TestBitMapping:
     def test_bpsk_anchor(self):
@@ -98,6 +107,19 @@ class TestBitMapping:
     def test_length_mismatch(self):
         with pytest.raises(DimensionError):
             bits_to_symbols([0, 1, 0], QAM4)
+
+    @pytest.mark.parametrize(
+        "bits", [[0, 2], [1, -1], [0.7, 1.2], [0.0, np.nan], [[0, 1], [1, 3]]],
+        ids=["two", "minus-one", "fractions", "nan", "batch"],
+    )
+    def test_values_that_are_not_bits_rejected(self, bits):
+        # [0, 2] used to map to 1-1j, [1, -1] and [0.7, 1.2] to -1+1j.
+        with pytest.raises(DomainError):
+            bits_to_symbols(bits, QAM4)
+
+    @pytest.mark.parametrize("bits", [[False, True], [0.0, 1.0], np.array([0, 1], np.uint8)])
+    def test_bits_of_any_type_with_values_0_and_1_accepted(self, bits):
+        assert bits_to_symbols(bits, QAM4).tolist() == [-1 + 1j]
 
     def test_non_alphabet_symbol(self):
         with pytest.raises(DomainError):

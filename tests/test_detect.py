@@ -440,18 +440,26 @@ class TestMatchedFilterDomain:
     @pytest.mark.parametrize("ebn0_db", [6.0, math.inf])
     def test_other_alphabets_take_the_generic_pull(self, ebn0_db):
         # BPSK and QAM4 have closed-form pulls; any other alphabet is pulled
-        # by gravity, which must agree with the reference as well.
+        # by gravity, which must agree with the reference as well: the real
+        # PAM4 on the decoder's N reals, and the complex 8-PSK.
         pam4 = Alphabet("pam4", (3 + 0j, 1 + 0j, -1 + 0j, -3 + 0j), ((0, 0), (0, 1), (1, 1), (1, 0)))
-        cfg = SefdmConfig(10, 12, 5, 6, pam4)
-        gen = RandomSource(64).generator()
-        s = bits_to_symbols(gen.integers(0, 2, size=(8, cfg.bits_per_block)), pam4)
-        r = add_awgn(modulate_interleaved(s, cfg), NoiseSpec.from_config(ebn0_db, cfg), gen)
-        reference = _reference_stripe_batch(r, cfg, StripeParams())
-        soft = stripe_decode_soft(r, cfg)
-        assert np.max(np.abs(soft - reference)) <= 1e-9
-        assert np.array_equal(stripe_decode(r, cfg), slice_symbols(reference, pam4))
-        # A real alphabet runs on N reals, as BPSK does.
-        assert not soft.imag.any()
+        h = math.sqrt(0.5)
+        psk8 = Alphabet(
+            "8psk",
+            (1 + 0j, h + h * 1j, 1j, -h + h * 1j, -1 + 0j, -h - h * 1j, -1j, h - h * 1j),
+            ((0, 0, 0), (0, 0, 1), (0, 1, 1), (0, 1, 0), (1, 1, 0), (1, 1, 1), (1, 0, 1), (1, 0, 0)),
+        )
+        for alphabet in (pam4, psk8):
+            cfg = SefdmConfig(10, 12, 5, 6, alphabet)
+            gen = RandomSource(64).generator()
+            s = bits_to_symbols(gen.integers(0, 2, size=(8, cfg.bits_per_block)), alphabet)
+            r = add_awgn(modulate_interleaved(s, cfg), NoiseSpec.from_config(ebn0_db, cfg), gen)
+            reference = _reference_stripe_batch(r, cfg, StripeParams())
+            soft = stripe_decode_soft(r, cfg)
+            assert np.max(np.abs(soft - reference)) <= 1e-9
+            assert np.array_equal(stripe_decode(r, cfg), slice_symbols(reference, alphabet))
+            # A real alphabet runs on N reals, as BPSK does.
+            assert soft.imag.any() == (alphabet is psk8)
 
     def test_unequal_real_and_imaginary_ranges_are_rejected(self):
         # The truncation box is one range for real and imaginary parts alike.

@@ -83,6 +83,11 @@ class TestTheoreticalBer:
             db = theory_ebn0_db(target)
             assert theoretical_ber(db, BPSK) == pytest.approx(target, rel=1e-9)
 
+    @pytest.mark.parametrize("target", [0.0, 0.5, -1e-3, 0.7])
+    def test_inverse_outside_its_domain(self, target):
+        with pytest.raises(DomainError):
+            theory_ebn0_db(target)
+
     def test_matches_scipy_erfc(self):
         special = pytest.importorskip("scipy.special")
         for db in np.linspace(-10.0, 20.0, 301).tolist():
@@ -147,6 +152,13 @@ class TestRunBlock:
         with pytest.raises(CapacityError):
             run_block(SefdmConfig(12, 12, 5, 6, QAM4), 4.0, "ml", RandomSource(0))
 
+    @pytest.mark.parametrize("blocks", [0, -1, 2.5, True, np.float64(2.0)])
+    def test_bad_block_count_rejected(self, blocks):
+        # 0 used to return (0, 0); -1, 2.5 and True failed inside numpy.
+        cfg = SefdmConfig(8, 8, 1, 1, QAM4)
+        with pytest.raises(ValueError, match="blocks"):
+            run_block(cfg, 4.0, "ofdm", RandomSource(0), blocks=blocks)
+
     def test_iteration_count_reaches_decoder(self, monkeypatch):
         seen = []
         decode = harness.stripe_decode
@@ -200,7 +212,7 @@ class TestBerSweep:
     @pytest.mark.parametrize(
         "workers, cores, grid, pool",
         [(1000, 8, 3, 3), (1000, 2, 3, 2), (2, 8, 4, 2), (1000, 1, 3, None),
-         (4, 8, 1, None), (1, 8, 4, None), (0, 8, 4, None)],
+         (4, 8, 1, None), (1, 8, 4, None)],
     )
     def test_pool_is_capped_by_points_and_cores(self, monkeypatch, workers, cores, grid, pool):
         # A recording stand-in takes the pool's place, so no process starts.
@@ -224,6 +236,12 @@ class TestBerSweep:
         records = ber_sweep(spec, workers=workers)
         assert started == ([] if pool is None else [pool])
         assert _strip_wall(records) == _strip_wall(ber_sweep(spec))
+
+    @pytest.mark.parametrize("workers", [0, -3, True, 2.5, 1.5, "2", np.float64(2.0)])
+    def test_bad_worker_count_rejected(self, workers):
+        # 0, -3, True and 2.5 used to run; 1.5 and "2" failed inside the pool or min.
+        with pytest.raises(ValueError, match="workers"):
+            ber_sweep(self._small_spec(max_symbol_periods=8), workers=workers)
 
     def test_monotone_in_ebn0(self):
         spec = self._small_spec(
@@ -259,11 +277,12 @@ class TestBerSweep:
             # Eb/N0 points are real numbers: True used to be written to the CSV.
             {"ebn0_db": (True,)}, {"ebn0_db": (4.0, False)}, {"ebn0_db": ("4",)},
             {"ebn0_db": (4 + 0j,)},
+            {"min_bit_errors": 0}, {"max_symbol_periods": 0}, {"max_symbol_periods": -5},
         ],
         ids=["no-alpha", "no-ebn0", "negative-seed", "repeated-alpha", "repeated-ebn0", "signed-zero",
              "bool-iterations", "float-iterations", "float-periods", "float-errors", "float-seed",
              "float-carriers", "bool-samples", "float-alpha-part", "bool-ebn0", "bool-second-ebn0",
-             "str-ebn0", "complex-ebn0"],
+             "str-ebn0", "complex-ebn0", "zero-errors", "zero-periods", "negative-periods"],
     )
     def test_empty_grid_and_negative_seed_rejected(self, change):
         with pytest.raises(ValueError):
