@@ -32,14 +32,12 @@ embedding, and y_K is Re y[:, k::c]. A complex alphabet needs equal real and
 imaginary ranges (DomainError otherwise). Gravity toward BPSK's +-1 has the
 closed form 2x / (1 + x^2), exact at +-1; toward QAM4's +-1+-1j it is closed
 too (`_pull_qam4`). Each maps every point exactly to itself. The public
-`gravity` is computed from its definition, the inverse-square weighted
-centroid over a trailing point axis, and pulls every alphabet without a
-closed form.
+`gravity` computes the inverse-square centroid from its definition and
+pulls every alphabet without a closed form.
 
 The ML decoder minimises s G s^H - 2 Re(y . conj(s)) over every candidate
-symbol vector in one loop over chunks whose working memory is bounded: each
-chunk's candidates are built, scored and dropped, and each block keeps its
-best candidate so far.
+symbol vector, in one loop that builds, scores and drops one chunk of
+bounded working memory at a time, each block keeping its best so far.
 """
 
 from __future__ import annotations
@@ -327,15 +325,17 @@ def ml_decode(r, cfg: SefdmConfig) -> np.ndarray:
     best_index = np.zeros(len(y), dtype=np.int64)
     for start in range(0, count, chunk):
         s = _ml_symbols(cfg, np.arange(start, min(start + chunk, count)))
-        # ||r - s C||^2 / M up to the common ||r||^2 / M term: s G s^H minus
-        # 2 Re(y . conj(s)), which on the float views [Re y_0, Im y_0, ...] is
-        # x @ (2 s.view(float).T). Each is a fixed-order sum, so a candidate's
-        # metric does not depend on the chunk it falls in.
-        metric = x @ np.ascontiguousarray(2 * s.view(float).T)
-        np.subtract(np.einsum("kn,nm,km->k", s, gram, s.conj()).real, metric, out=metric)
+        # ||r - s C||^2 / M less the common ||r||^2 / M: the energies s G s^H
+        # minus 2 Re(y . conj(s)) = x @ weights on the float views. Both are
+        # fixed-order sums: a candidate's metric does not depend on its chunk.
+        energies = np.einsum("kn,nm,km->k", s, gram, s.conj()).real
+        weights = np.ascontiguousarray(2 * s.view(float).T)
+        del s  # a chunk's budget: the metric block, the weights and the energies
+        metric = x @ weights
+        np.subtract(energies, metric, out=metric)
         arg = metric.argmin(axis=1)
         val = metric[rows, arg]
-        del metric  # one B x chunk block at a time
+        del metric, weights  # one chunk at a time
         better = val < best_metric  # strict: earlier candidates win ties
         best_metric[better] = val[better]
         best_index[better] = start + arg[better]
