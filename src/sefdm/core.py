@@ -192,22 +192,50 @@ def bits_to_symbols(bits, alphabet: Alphabet) -> np.ndarray:
     return by_label[groups @ weights]
 
 
+def _labels_bpsk(f: np.ndarray) -> tuple[bool, np.ndarray]:
+    """(valid, bits) of an (L, 2) float view: valid iff |Re| == 1 and Im == 0,
+    and the bit is Re < 0."""
+    valid = ((np.abs(f[:, 0]) == 1) & (f[:, 1] == 0)).all()
+    return valid, (f[:, :1] < 0).astype(np.intp)
+
+
+def _labels_qam4(f: np.ndarray) -> tuple[bool, np.ndarray]:
+    """(valid, bits) of an (L, 2) float view: valid iff |Re| == |Im| == 1, and
+    the Gray ring's bits are (Im < 0, Re < 0)."""
+    # The check's temporaries are freed before the labels are allocated, so
+    # that malloc can hand the labels their pages back.
+    valid = (np.abs(f) == 1).all()
+    neg = f < 0
+    bits = np.empty(f.shape, dtype=np.intp)
+    bits[:, 0], bits[:, 1] = neg[:, 1], neg[:, 0]
+    return valid, bits
+
+
+_LABELS = {BPSK: _labels_bpsk, QAM4: _labels_qam4}  # closed forms; a point search for the rest
+
+
 def symbols_to_bits(symbols, alphabet: Alphabet) -> np.ndarray:
     """Map exact constellation symbols back to their bit labels.
 
-    Raises DomainError for values that are not alphabet points; slice first.
+    BPSK and QAM4 read the labels off the signs of the parts; other alphabets
+    search their points. Raises DomainError for values that are not alphabet
+    points; slice first.
     """
     symbols = np.asarray(symbols, dtype=complex)
-    # One comparison per point; the points are distinct, so each symbol
-    # matches at most one and the index sum picks it out.
-    index = np.zeros(symbols.shape, dtype=np.intp)
-    found = np.zeros(symbols.shape, dtype=bool)
-    for i, point in enumerate(alphabet.points):
-        match = symbols == point
-        found |= match
-        index += i * match
-    if not found.all():
+    closed = _LABELS.get(alphabet)
+    if closed is None:
+        # One comparison per point; the points are distinct, so each symbol
+        # matches at most one and the index sum picks it out.
+        index = np.zeros(symbols.shape, dtype=np.intp)
+        found = np.zeros(symbols.shape, dtype=bool)
+        for i, point in enumerate(alphabet.points):
+            match = symbols == point
+            found |= match
+            index += i * match
+        valid, bits = found.all(), np.asarray(alphabet.labels, dtype=np.intp)[index]
+    else:
+        valid, bits = closed(np.ascontiguousarray(symbols).reshape(-1).view(float).reshape(-1, 2))
+    if not valid:
         raise DomainError("symbol vector contains values outside the alphabet")
-    labels = np.asarray(alphabet.labels, dtype=np.intp)
     length = math.prod(symbols.shape[-1:]) * alphabet.bits_per_symbol
-    return labels[index].reshape(symbols.shape[:-1] + (length,))
+    return bits.reshape(symbols.shape[:-1] + (length,))

@@ -35,6 +35,11 @@ too (`_pull_qam4`). Each maps every point exactly to itself. The public
 `gravity` computes the inverse-square centroid from its definition and
 pulls every alphabet without a closed form.
 
+The hard slicer, behind the OFDM baseline and the stripe decoder's last
+step, decides BPSK and QAM4 in closed form from the signs of the real and
+imaginary parts, ties broken in the points' order: the exact nearest point.
+Every other alphabet takes the nearest point by float distance.
+
 The ML decoder minimises s G s^H - 2 Re(y . conj(s)) over every candidate
 symbol vector, in one loop that builds, scores and drops one chunk of
 bounded working memory at a time, each block keeping its best so far.
@@ -67,8 +72,7 @@ _EXACT_HIT_SQ = 1e-24
 # Enumeration guard for the exhaustive decoder.
 _ML_GUARD = 2**20
 
-# Working memory of one ML chunk, in bytes: the B x chunk float64 metric block
-# plus the chunk's table of 2N weights and one energy per candidate.
+# Working memory of one ML chunk, in bytes; see _ml_chunk for what it counts.
 _ML_CHUNK_BYTES = 2**25
 
 
@@ -160,18 +164,56 @@ def truncate(est, alphabet: Alphabet):
     return complex(out) if np.isscalar(est) or e.ndim == 0 else out
 
 
+def _signs(f: np.ndarray) -> np.ndarray:
+    """-1.0 where an entry is negative, +1.0 elsewhere, -0.0 included."""
+    out = (f < 0).astype(float)  # a bool cast and two in-place ops: no branchy np.where
+    out *= -2
+    out += 1
+    return out
+
+
+def _slice_bpsk(f: np.ndarray) -> np.ndarray:
+    """Nearest of +-1 on an (L, 2) float view: +1 iff Re >= 0, with a +0.0
+    imaginary part."""
+    out = _signs(f)
+    out[:, 1] = 0
+    return out
+
+
+def _slice_qam4(f: np.ndarray) -> np.ndarray:
+    """Nearest of +-1+-1j on an (L, 2) float view. Each part's sign decides,
+    and a zero part ties. The ring order breaks ties: Im -> +1, since 1+1j and
+    -1+1j come first; Re follows Im, since 1+1j precedes -1+1j and -1-1j
+    precedes 1-1j."""
+    out = _signs(f)
+    np.copyto(out[:, 0], out[:, 1], where=f[:, 0] == 0)
+    return out
+
+
+_SLICES = {BPSK: _slice_bpsk, QAM4: _slice_qam4}  # closed forms; distances for the rest
+
+
 def slice_symbols(est, alphabet: Alphabet):
     """Hard decision to the nearest constellation point.
 
-    Ties break toward the lowest point index (argmin keeps the first minimum).
-    Raises DomainError for non-finite estimates.
+    Ties break toward the lowest point index. BPSK and QAM4 decide in closed
+    form by the signs of the parts: the nearest point in exact arithmetic.
+    Every other alphabet compares float distances, where argmin keeps the
+    first minimum; these can tie through rounding where exact distances do
+    not (for QAM4 they would take -1e-300 to 1+1j, where the nearest point is
+    -1+1j). Raises DomainError for non-finite estimates.
     """
     e = np.asarray(est, dtype=complex)
     if not np.isfinite(e).all():
         raise DomainError("estimates must be finite")
-    points = alphabet.points_array()
-    d2 = np.abs(e[..., None] - points) ** 2
-    out = points[d2.argmin(axis=-1)]
+    closed = _SLICES.get(alphabet)
+    if closed is None:
+        points = alphabet.points_array()
+        d2 = np.abs(e[..., None] - points) ** 2
+        out = points[d2.argmin(axis=-1)]
+    else:
+        f = np.ascontiguousarray(e).reshape(-1).view(float).reshape(-1, 2)
+        out = closed(f).view(complex).reshape(e.shape)
     return complex(out) if np.isscalar(est) or e.ndim == 0 else out
 
 
@@ -295,8 +337,13 @@ def check_ml_guard(cfg: SefdmConfig) -> int:
 
 
 def _ml_chunk(blocks: int, n_car: int) -> int:
-    """Candidates per chunk that keep one chunk within _ML_CHUNK_BYTES."""
-    return max(1, _ML_CHUNK_BYTES // (8 * (blocks + 2 * n_car + 1)))
+    """Candidates per chunk that keep one chunk within _ML_CHUNK_BYTES.
+
+    A candidate takes, in 8-byte words: its metric column (B) and its 2N
+    weights and one energy; while it is built, its N int64 odometer digits,
+    its N complex symbols (2N) and their conjugates in the energies' einsum
+    (2N). Not all of these are alive at once, so the sum bounds the peak."""
+    return max(1, _ML_CHUNK_BYTES // (8 * (blocks + 7 * n_car + 1)))
 
 
 def _ml_symbols(cfg: SefdmConfig, index: np.ndarray) -> np.ndarray:

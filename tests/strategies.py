@@ -1,10 +1,11 @@
-"""Hypothesis strategies shared by the property tests."""
+"""Hypothesis strategies and helpers shared by the property tests."""
 
 import math
 
+import numpy as np
 from hypothesis import strategies as st
 
-from sefdm import BPSK, QAM4, SefdmConfig
+from sefdm import BPSK, QAM4, Alphabet, SefdmConfig
 
 ALPHAS = [(b, c) for c in range(1, 7) for b in range(1, c + 1) if math.gcd(b, c) == 1]
 
@@ -24,3 +25,28 @@ def configs(draw):
     least = least_samples(n_car, [(b, c)])
     n_samp = draw(st.integers(least, 4 * least))
     return SefdmConfig(n_car, n_samp, b, c, draw(st.sampled_from([BPSK, QAM4])))
+
+
+# Signed zeros, the points' coordinates +-1 and their float neighbours.
+_EDGES = [0.0, -0.0]
+_EDGES += [float(x) for one in (1.0, -1.0) for x in (one, np.nextafter(one, 0), np.nextafter(one, 2 * one))]
+
+
+def slicer_inputs(magnitudes=st.floats(min_value=0.0, allow_infinity=False)):
+    """Complex slicer inputs whose parts are one of _EDGES or a magnitude of
+    either sign; one draw in three lies on an axis, a signed zero in the
+    other part."""
+    part = st.one_of(st.sampled_from(_EDGES), magnitudes.flatmap(lambda m: st.sampled_from([m, -m])))
+    zero = st.sampled_from([0.0, -0.0])
+    return st.one_of(
+        st.builds(complex, part, part),
+        st.builds(complex, part, zero),
+        st.builds(complex, zero, part),
+    )
+
+
+def generic_twin(alphabet: Alphabet) -> Alphabet:
+    """The alphabet under another name: equal points and labels, but not a key
+    of the closed-form tables, so slice_symbols and symbols_to_bits take their
+    generic paths."""
+    return Alphabet(alphabet.name + "-generic", alphabet.points, alphabet.labels)

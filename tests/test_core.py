@@ -20,6 +20,7 @@ from sefdm import (
     get_alphabet,
     symbols_to_bits,
 )
+from strategies import generic_twin
 
 
 class TestAlphabet:
@@ -126,6 +127,30 @@ class TestBitMapping:
             symbols_to_bits([0.5 + 0.5j], QAM4)
         with pytest.raises(DomainError):
             symbols_to_bits([[1 + 1j, -1 - 1j], [1 - 1j, 1 + 0j]], QAM4)
+        # Entries that a bare sign rule would label, on both paths.
+        nan = complex(np.nan, 0.0)
+        cases = [(QAM4, 1 + 0j), (QAM4, 2 + 2j), (QAM4, 1 + 1.0000000000000002j), (QAM4, nan)]
+        cases += [(BPSK, 1 + 1e-300j), (BPSK, 0j), (BPSK, nan), (BPSK, complex(1.0, np.nan))]
+        for alphabet, bad in cases:
+            for alph in (alphabet, generic_twin(alphabet)):
+                with pytest.raises(DomainError):
+                    symbols_to_bits([alphabet.points[0], bad], alph)
+        # -1-0j is the point -1: an imaginary -0.0 equals 0.
+        for alph in (BPSK, generic_twin(BPSK)):
+            assert symbols_to_bits([complex(-1.0, -0.0)], alph).tolist() == [1]
+
+    @pytest.mark.parametrize("alphabet", [BPSK, QAM4])
+    def test_closed_form_labels_are_the_alphabets(self, alphabet):
+        # The closed forms hold the labels a second time; pin them to the table.
+        points = alphabet.points_array()
+        bits = symbols_to_bits(points, alphabet)
+        assert bits.dtype == np.intp
+        assert bits.tolist() == [bit for label in alphabet.labels for bit in label]
+        assert np.array_equal(bits, symbols_to_bits(points, generic_twin(alphabet)))
+        for point, label in zip(alphabet.points, alphabet.labels):
+            for alph in (alphabet, generic_twin(alphabet)):
+                bits = symbols_to_bits(point, alph)  # 0-d: one label
+                assert bits.dtype == np.intp and bits.tolist() == list(label)
 
     @settings(max_examples=100, deadline=None)
     @given(

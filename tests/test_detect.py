@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from sefdm import (
     truncate,
 )
 from sefdm import detect
-from strategies import configs
+from strategies import configs, generic_twin, slicer_inputs
 
 
 def _random_symbols(cfg, seed):
@@ -241,6 +242,66 @@ class TestSlice:
     def test_tie_breaks_to_first_point(self):
         assert slice_symbols(0j, QAM4) == QAM4.points[0]
 
+    @pytest.mark.parametrize(
+        "alphabet, est, expected",
+        [
+            # Re = +-0 with Im < 0: -1-1j precedes 1-1j. A per-axis sign gives 1-1j.
+            (QAM4, complex(0.0, -0.5), -1 - 1j),
+            (QAM4, complex(-0.0, -0.5), -1 - 1j),
+            (QAM4, complex(0.0, 0.5), 1 + 1j),
+            (QAM4, complex(-0.0, 0.5), 1 + 1j),
+            # Im = +-0: the upper point comes first on either side.
+            (QAM4, complex(0.5, 0.0), 1 + 1j),
+            (QAM4, complex(0.5, -0.0), 1 + 1j),
+            (QAM4, complex(-0.5, 0.0), -1 + 1j),
+            (QAM4, complex(-0.5, -0.0), -1 + 1j),
+            # On both axes, all four tie.
+            (QAM4, complex(-0.0, -0.0), 1 + 1j),
+            (QAM4, complex(0.0, -0.0), 1 + 1j),
+            (QAM4, complex(-0.0, 0.0), 1 + 1j),
+            (QAM4, 1 - 1j, 1 - 1j),
+            (QAM4, -1 - 1j, -1 - 1j),
+            (QAM4, -1 + 1j, -1 + 1j),
+            (BPSK, complex(-0.0, 0.0), 1 + 0j),
+            (BPSK, complex(-0.0, -0.7), 1 + 0j),
+            (BPSK, complex(0.0, 0.7), 1 + 0j),
+            (BPSK, complex(-0.5, -0.0), -1 + 0j),
+            (BPSK, complex(-1.0, -0.0), -1 + 0j),
+            (BPSK, 1 + 0j, 1 + 0j),
+        ],
+    )
+    def test_ties_break_in_ring_order(self, alphabet, est, expected):
+        # Bit for bit, signed zeros included; the generic slicer ties exactly here.
+        for alph in (alphabet, generic_twin(alphabet)):
+            out = slice_symbols(est, alph)
+            assert np.array(out).tobytes() == np.array(expected).tobytes()
+            out = slice_symbols([est], alph)
+            assert out.tobytes() == np.array([expected]).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(alphabet=st.sampled_from([BPSK, QAM4]), est=st.lists(slicer_inputs(), max_size=12))
+    # Float distances tie here, exact ones do not.
+    @example(alphabet=QAM4, est=[complex(-1e-300, 0.0)])
+    def test_closed_forms_are_the_exact_nearest_point(self, alphabet, est):
+        def exact(z):
+            x, y = Fraction(z.real), Fraction(z.imag)
+            d2 = [(x - Fraction(p.real)) ** 2 + (y - Fraction(p.imag)) ** 2 for p in alphabet.points]
+            return alphabet.points[d2.index(min(d2))]  # the first of equal points
+
+        out = slice_symbols(np.array(est, dtype=complex), alphabet)
+        assert out.tobytes() == np.array([exact(z) for z in est], dtype=complex).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        alphabet=st.sampled_from([BPSK, QAM4]),
+        est=st.lists(slicer_inputs(st.floats(1e-6, 1e3)), max_size=12),
+    )
+    def test_closed_forms_agree_with_the_generic_slicer(self, alphabet, est):
+        # Parts of +-0 or of magnitude in [1e-6, 1e3]: float distances tie
+        # exactly where exact ones do, and order the rest as exact ones do.
+        e = np.array(est, dtype=complex)
+        assert slice_symbols(e, alphabet).tobytes() == slice_symbols(e, generic_twin(alphabet)).tobytes()
+
     def test_non_finite_estimates_rejected(self):
         # argmin over NaN distances would pick the first point
         for bad in (np.nan, np.inf, complex(0.0, np.nan), [1 + 1j, complex(-np.inf, 0.0)]):
@@ -384,7 +445,7 @@ class TestMlDecode:
         r = np.concatenate([r, np.zeros((1, 12), complex)])
         assert detect._ml_chunk(len(r), 6) >= 4096
         one_chunk = ml_decode(r, cfg)
-        monkeypatch.setattr(detect, "_ML_CHUNK_BYTES", 8 * (len(r) + 2 * 6 + 1) * 100)
+        monkeypatch.setattr(detect, "_ML_CHUNK_BYTES", 8 * (len(r) + 7 * 6 + 1) * 100)
         assert detect._ml_chunk(len(r), 6) == 100
         assert np.array_equal(ml_decode(r, cfg), one_chunk)
 
@@ -396,18 +457,20 @@ class TestMlDecode:
         # 32 MiB metric block in one piece.
         import tracemalloc
 
+        # At few blocks the candidates' own arrays outweigh the metric block.
         budget = 2**20
         monkeypatch.setattr(detect, "_ML_CHUNK_BYTES", budget)
         cfg = SefdmConfig(7, 8, 4, 5, QAM4)
-        r = np.ones((256, 8), complex)
-        ml_decode(r[:1], cfg)  # fill the matched-filter cache outside the measurement
-        tracemalloc.start()
-        try:
-            ml_decode(r, cfg)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.5 * budget
+        ml_decode(np.ones((1, 8), complex), cfg)  # fill the matched-filter cache outside the measurement
+        for blocks in (1, 4, 256):
+            r = np.ones((blocks, 8), complex)
+            tracemalloc.start()
+            try:
+                ml_decode(r, cfg)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1.5 * budget, blocks
 
 
 class TestMatchedFilterDomain:
