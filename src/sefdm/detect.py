@@ -10,6 +10,12 @@ statistic for s, and no decoder touches the M samples after computing it.
 At alpha = 1, y is the first N bins of the M-point DFT of r scaled by 1/M,
 so the OFDM baseline is slice_symbols(y).
 
+Who builds y: the public decoders take M samples r and compute y = r C^H / M
+(`_matched_outputs`); the Monte Carlo harness does so for ML and the OFDM
+baseline. For the stripe decoder the harness never builds r:
+`_matched_channel` computes y = s G + (sigma n) C^H / M straight from the
+symbols and add_awgn's noise draws, projected through cached real maps.
+
 The stripe decoder treats the SEFDM signal as c interleaved OFDM systems.
 Branch k carries the carrier group K = {k, k + c, k + 2c, ...}, whose carriers
 sit on distinct integer DFT bins, so G[K, K] = I. Cancelling the estimates of
@@ -47,6 +53,7 @@ bounded working memory at a time, each block keeping its best so far.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -201,7 +208,8 @@ def slice_symbols(est, alphabet: Alphabet):
     Every other alphabet compares float distances, where argmin keeps the
     first minimum; these can tie through rounding where exact distances do
     not (for QAM4 they would take -1e-300 to 1+1j, where the nearest point is
-    -1+1j). Raises DomainError for non-finite estimates.
+    -1+1j), but do not overflow for any finite estimate. Raises DomainError
+    for non-finite estimates.
     """
     e = np.asarray(est, dtype=complex)
     if not np.isfinite(e).all():
@@ -209,8 +217,15 @@ def slice_symbols(est, alphabet: Alphabet):
     closed = _SLICES.get(alphabet)
     if closed is None:
         points = alphabet.points_array()
-        d2 = np.abs(e[..., None] - points) ** 2
-        out = points[d2.argmin(axis=-1)]
+        # |e - p|^2 less the common |e|^2, |p|^2 - 2 Re(e conj p): e - p
+        # would round far points together (-1e200 - 3 == -1e200 + 3). Scaled
+        # by a power of two that brings the parts of a large e below 1: exact,
+        # and finite for every finite estimate.
+        _, exponent = np.frexp(np.maximum(abs(e.real), abs(e.imag)))
+        scale = np.ldexp(1.0, -np.maximum(exponent, 0))[..., None]
+        re, im = e.real[..., None] * scale, e.imag[..., None] * scale
+        metric = scale * (points.real**2 + points.imag**2) - 2 * (re * points.real + im * points.imag)
+        out = points[metric.argmin(axis=-1)]
     else:
         f = np.ascontiguousarray(e).reshape(-1).view(float).reshape(-1, 2)
         out = closed(f).view(complex).reshape(e.shape)
@@ -223,6 +238,8 @@ class _MatchedFilter(NamedTuple):
     matched: np.ndarray  # (M, N) C^H / M, so that y = r @ matched
     gram: np.ndarray  # (N, N) G = C C^H / M
     weights: tuple[np.ndarray, ...]  # branch k: (2N, 2|K|); real alphabet (N, |K|)
+    signal: np.ndarray  # G, so that y = s @ signal without noise; real alphabet Re G
+    noise: tuple[np.ndarray, np.ndarray]  # see _matched_channel
 
 
 @lru_cache(maxsize=64)
@@ -231,6 +248,12 @@ def _matched_filter(cfg: SefdmConfig) -> _MatchedFilter:
     matched = _read_only(np.ascontiguousarray(matrix.conj().T) / cfg.n_samples)
     gram = _read_only(matrix @ matched)
     c, real = cfg.alpha_den, _is_real(cfg.alphabet)
+    # A real noise draw n maps to the float view of n @ matched through the
+    # float view of matched, and to that of 1j n @ matched through the float
+    # view of 1j matched: [-Im, Re] pairs. A real alphabet keeps the Re columns.
+    signal, noise = gram, (matched.view(float), (1j * matched).view(float))
+    if real:
+        signal, noise = gram.real.copy(), tuple(part[:, 0::2].copy() for part in noise)
     weights = []
     for k in range(c):
         # G'[:, K]: rows of K zeroed, so that y_K - s @ G'[:, K] cancels every
@@ -248,7 +271,35 @@ def _matched_filter(cfg: SefdmConfig) -> _MatchedFilter:
         embedded[1::2, 0::2] = -others.imag
         embedded[1::2, 1::2] = others.real
         weights.append(_read_only(embedded))
-    return _MatchedFilter(matched, gram, tuple(weights))
+    noise = tuple(_read_only(part) for part in noise)
+    return _MatchedFilter(matched, gram, tuple(weights), _read_only(signal), noise)
+
+
+def _matched_channel(symbols: np.ndarray, cfg: SefdmConfig, sigma2: float, gen) -> np.ndarray:
+    """Matched-filter outputs of a (B, N) symbol batch sent through add_awgn,
+    without the M samples: y = s G + (sigma n) C^H / M.
+
+    sigma n is add_awgn's noise on the (B, M) samples, from the same draws in
+    the same order: the real parts' standard normals, then the imaginary
+    parts', into one reused buffer; none at sigma2 = 0. Each draw is
+    projected onto the float view of y by one real product with its (M, 2N)
+    noise map, and the (B, 2N) sum is scaled by sqrt(sigma2 / 2). Returns
+    complex y; for a real alphabet, the float Re y, which is all the stripe
+    decoder reads, from the (N, N) Re G and the Re columns of the maps.
+    """
+    front = _matched_filter(cfg)
+    y = (symbols.real if _is_real(cfg.alphabet) else symbols) @ front.signal
+    if sigma2 == 0.0:
+        return y
+    re_map, im_map = front.noise
+    draw = gen.standard_normal((len(y), cfg.n_samples))
+    noise = draw @ re_map
+    gen.standard_normal(out=draw)
+    noise += draw @ im_map
+    noise *= math.sqrt(sigma2 / 2.0)
+    y_float = y.view(float)
+    y_float += noise
+    return y
 
 
 def _matched_outputs(r, cfg: SefdmConfig) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -287,7 +338,8 @@ def stripe_decode(r, cfg: SefdmConfig, params: StripeParams = StripeParams()) ->
 
 def _stripe_batch(y: np.ndarray, cfg: SefdmConfig, params: StripeParams) -> np.ndarray:
     """Run J sweeps over a (B, N) batch of matched-filter outputs; returns
-    (B, N) soft estimates, real for a real alphabet and complex otherwise."""
+    (B, N) soft estimates, real for a real alphabet and complex otherwise.
+    A real alphabet reads Re y only, so y may be given as those floats."""
     total_iter = params.iterations
     lo, hi, im_lo, im_hi = cfg.alphabet.bounding_box
     # `gravity` is looked up at call time, so that tracing can wrap it.

@@ -31,11 +31,13 @@ from .core import (
 )
 from .detect import (
     StripeParams,
+    _matched_channel,
     _matched_outputs,
+    _stripe_batch,
     check_ml_guard,
     ml_decode,
     slice_symbols,
-    stripe_decode,
+    stripe_decode,  # not called here, but bench/spans.py wraps each layer name
 )
 from .txmod import modulate_interleaved
 
@@ -171,7 +173,11 @@ def run_block(
     """Simulate `blocks` symbol periods; returns (bits sent, bit errors).
 
     Pipeline: random bits -> symbols -> interleaved modulation -> AWGN ->
-    decode -> bits; deterministic given the rng stream. `params` sets the
+    decode -> bits; deterministic given the rng stream. The stripe decoder
+    reads a block only through its matched-filter outputs y, so for it the
+    modulation, the AWGN and the matched filter are one step,
+    detect._matched_channel, which draws the same noise as add_awgn; ML and
+    the OFDM baseline decode the M samples. `params` sets the
     stripe decoder's iteration count. The decoder must pass the rules
     SweepSpec checks: a known name, alpha = 1 for ofdm, the ML guard for ml.
     `blocks` must be a positive integer.
@@ -184,16 +190,17 @@ def run_block(
     bps = cfg.alphabet.bits_per_symbol
     bits = gen.integers(0, 2, size=(blocks, cfg.n_carriers * bps))
     symbols = bits_to_symbols(bits, cfg.alphabet)
-    received = add_awgn(
-        modulate_interleaved(symbols, cfg), NoiseSpec.from_config(ebn0_db, cfg), gen
-    )
+    noise = NoiseSpec.from_config(ebn0_db, cfg)
     if decoder == "stripe":
-        decoded = stripe_decode(received, cfg, params)
-    elif decoder == "ml":
-        decoded = ml_decode(received, cfg)
+        y = _matched_channel(symbols, cfg, noise.sigma2, gen)
+        decoded = slice_symbols(_stripe_batch(y, cfg, params), cfg.alphabet)
     else:
-        # ofdm baseline, valid at alpha = 1: slice the matched-filter outputs.
-        decoded = slice_symbols(_matched_outputs(received, cfg)[0], cfg.alphabet)
+        received = add_awgn(modulate_interleaved(symbols, cfg), noise, gen)
+        if decoder == "ml":
+            decoded = ml_decode(received, cfg)
+        else:
+            # ofdm baseline, valid at alpha = 1: slice the matched-filter outputs.
+            decoded = slice_symbols(_matched_outputs(received, cfg)[0], cfg.alphabet)
     decoded_bits = symbols_to_bits(decoded, cfg.alphabet)
     return bits.size, int((decoded_bits != bits).sum())
 

@@ -27,13 +27,26 @@ from sefdm import (
     ml_decode,
     modulate_direct,
     modulate_interleaved,
+    run_block,
     slice_symbols,
     stripe_decode,
     stripe_decode_soft,
+    symbols_to_bits,
     truncate,
 )
 from sefdm import detect
 from strategies import configs, generic_twin, slicer_inputs
+
+
+# Alphabets without closed forms, for the generic paths: the real PAM4 and
+# the complex 8-PSK.
+_PAM4 = Alphabet("pam4", (3 + 0j, 1 + 0j, -1 + 0j, -3 + 0j), ((0, 0), (0, 1), (1, 1), (1, 0)))
+_H = math.sqrt(0.5)
+_PSK8 = Alphabet(
+    "8psk",
+    (1 + 0j, _H + _H * 1j, 1j, -_H + _H * 1j, -1 + 0j, -_H - _H * 1j, -1j, _H - _H * 1j),
+    ((0, 0, 0), (0, 0, 1), (0, 1, 1), (0, 1, 0), (1, 1, 0), (1, 1, 1), (1, 0, 1), (1, 0, 0)),
+)
 
 
 def _random_symbols(cfg, seed):
@@ -302,6 +315,24 @@ class TestSlice:
         e = np.array(est, dtype=complex)
         assert slice_symbols(e, alphabet).tobytes() == slice_symbols(e, generic_twin(alphabet)).tobytes()
 
+    @pytest.mark.parametrize(
+        "alphabet, est, expected",
+        [
+            (_PAM4, -1e200, -3 + 0j),
+            (_PAM4, np.finfo(float).max, 3 + 0j),
+            (_PAM4, complex(-np.finfo(float).max, np.finfo(float).max), -3 + 0j),
+            (_PAM4, complex(1e-300, -1e300), 1 + 0j),
+            (_PSK8, complex(-np.finfo(float).max, -np.finfo(float).max), -_H - _H * 1j),
+            (_PSK8, complex(1e300, -1e-300), 1 + 0j),
+            (_PSK8, complex(-1e-300, 1e300), 1j),
+        ],
+    )
+    def test_generic_slicer_on_huge_estimates(self, alphabet, est, expected):
+        # Squared float distances overflowed from about 1e154, and e - p
+        # rounds -1e200 - 3 and -1e200 + 3 together: -1e200 went to 3 + 0j.
+        assert slice_symbols(est, alphabet) == expected
+        assert slice_symbols([est, 0.9], alphabet).tolist() == [expected, 1 + 0j]
+
     def test_non_finite_estimates_rejected(self):
         # argmin over NaN distances would pick the first point
         for bad in (np.nan, np.inf, complex(0.0, np.nan), [1 + 1j, complex(-np.inf, 0.0)]):
@@ -505,14 +536,7 @@ class TestMatchedFilterDomain:
         # BPSK and QAM4 have closed-form pulls; any other alphabet is pulled
         # by gravity, which must agree with the reference as well: the real
         # PAM4 on the decoder's N reals, and the complex 8-PSK.
-        pam4 = Alphabet("pam4", (3 + 0j, 1 + 0j, -1 + 0j, -3 + 0j), ((0, 0), (0, 1), (1, 1), (1, 0)))
-        h = math.sqrt(0.5)
-        psk8 = Alphabet(
-            "8psk",
-            (1 + 0j, h + h * 1j, 1j, -h + h * 1j, -1 + 0j, -h - h * 1j, -1j, h - h * 1j),
-            ((0, 0, 0), (0, 0, 1), (0, 1, 1), (0, 1, 0), (1, 1, 0), (1, 1, 1), (1, 0, 1), (1, 0, 0)),
-        )
-        for alphabet in (pam4, psk8):
+        for alphabet in (_PAM4, _PSK8):
             cfg = SefdmConfig(10, 12, 5, 6, alphabet)
             gen = RandomSource(64).generator()
             s = bits_to_symbols(gen.integers(0, 2, size=(8, cfg.bits_per_block)), alphabet)
@@ -522,7 +546,7 @@ class TestMatchedFilterDomain:
             assert np.max(np.abs(soft - reference)) <= 1e-9
             assert np.array_equal(stripe_decode(r, cfg), slice_symbols(reference, alphabet))
             # A real alphabet runs on N reals, as BPSK does.
-            assert soft.imag.any() == (alphabet is psk8)
+            assert soft.imag.any() == (alphabet is _PSK8)
 
     def test_unequal_real_and_imaginary_ranges_are_rejected(self):
         # The truncation box is one range for real and imaginary parts alike.
@@ -555,6 +579,99 @@ class TestMatchedFilterDomain:
         for k in range(cfg.alpha_den):
             block = gram[k :: cfg.alpha_den, k :: cfg.alpha_den]
             assert np.max(np.abs(block - np.eye(len(block))), initial=0.0) <= 1e-12
+
+
+class _NoDraws:
+    """A generator stand-in that fails on any use."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"the channel used the generator's {name}")
+
+
+class TestMatchedChannel:
+    """detect._matched_channel: y = s G + (sigma n) C^H / M from the symbols,
+    against the public chain of modulation, add_awgn and the matched filter."""
+
+    @staticmethod
+    def _chain(s, cfg, ebn0_db, gen):
+        r = add_awgn(modulate_interleaved(s, cfg), NoiseSpec.from_config(ebn0_db, cfg), gen)
+        y, _ = detect._matched_outputs(r, cfg)
+        return y.real if cfg.alphabet == BPSK else y
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        cfg=configs(),
+        seed=st.integers(0, 2**32 - 1),
+        ebn0_db=st.one_of(st.just(math.inf), st.floats(0.0, 15.0)),
+    )
+    # Gate 03's shape, gate 05's and gate 06's, each with both alphabets.
+    @example(cfg=SefdmConfig(16, 256, 5, 6, QAM4), seed=70, ebn0_db=4.0)
+    @example(cfg=SefdmConfig(16, 256, 5, 6, BPSK), seed=71, ebn0_db=4.0)
+    @example(cfg=SefdmConfig(16, 16, 4, 5, QAM4), seed=72, ebn0_db=10.0)
+    @example(cfg=SefdmConfig(16, 16, 4, 5, BPSK), seed=73, ebn0_db=10.0)
+    @example(cfg=SefdmConfig(64, 64, 1, 2, QAM4), seed=74, ebn0_db=0.0)
+    @example(cfg=SefdmConfig(64, 64, 1, 2, BPSK), seed=75, ebn0_db=0.0)
+    def test_matches_the_sample_chain(self, cfg, seed, ebn0_db):
+        # The same y, within rounding, from the same draws, after which both
+        # generators are in the same state. A real alphabet gets Re y only.
+        chain_gen, channel_gen = (RandomSource(seed).generator() for _ in range(2))
+        s = bits_to_symbols(chain_gen.integers(0, 2, size=(32, cfg.bits_per_block)), cfg.alphabet)
+        channel_gen.integers(0, 2, size=(32, cfg.bits_per_block))
+        want = self._chain(s, cfg, ebn0_db, chain_gen)
+        sigma2 = NoiseSpec.from_config(ebn0_db, cfg).sigma2
+        got = detect._matched_channel(s, cfg, sigma2, channel_gen)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12
+        assert np.array_equal(channel_gen.random(4), chain_gen.random(4))  # the same next draws
+
+    def test_no_draws_without_noise(self):
+        for alphabet in (QAM4, BPSK):
+            cfg = SefdmConfig(16, 16, 4, 5, alphabet)
+            s = bits_to_symbols(RandomSource(76).generator().integers(0, 2, size=(8, cfg.bits_per_block)),
+                                alphabet)
+            y = detect._matched_channel(s, cfg, 0.0, _NoDraws())
+            want = self._chain(s, cfg, math.inf, _NoDraws())
+            assert np.max(np.abs(y - want)) <= 1e-12
+
+    @pytest.mark.parametrize("alphabet", [QAM4, BPSK])
+    def test_noise_covariance_is_scaled_gram(self, alphabet):
+        # Zero symbols leave the projected noise alone: its covariance is
+        # E[y^H y] = sigma2 G / M with E[y^T y] = 0, and Re y has Re G sigma2 / 2M.
+        cfg = SefdmConfig(16, 32, 4, 5, alphabet)
+        blocks, sigma2 = 40_000, 3.0 * cfg.n_samples
+        y = detect._matched_channel(np.zeros((blocks, cfg.n_carriers), complex), cfg, sigma2,
+                                    RandomSource(77).generator())
+        gram = detect._matched_filter(cfg).gram
+        tolerance = 5 * (sigma2 / cfg.n_samples) / math.sqrt(blocks)
+        if alphabet == BPSK:
+            covariance = y.T @ y / blocks
+            assert np.max(np.abs(covariance - gram.real * sigma2 / (2 * cfg.n_samples))) <= tolerance
+        else:
+            covariance = y.conj().T @ y / blocks
+            assert np.max(np.abs(covariance - gram * sigma2 / cfg.n_samples)) <= tolerance
+            assert np.max(np.abs(y.T @ y / blocks)) <= tolerance
+
+    @pytest.mark.parametrize(
+        "cfg, ebn0_db",
+        [
+            (SefdmConfig(16, 256, 5, 6, QAM4), 5.0),  # gate 03
+            (SefdmConfig(16, 16, 5, 6, QAM4), 8.0),  # gate 04
+            (SefdmConfig(16, 16, 4, 5, QAM4), 9.0),  # gate 05
+            (SefdmConfig(64, 64, 1, 2, BPSK), 5.0),  # gate 06
+        ],
+        ids=["gate03", "gate04", "gate05", "gate06"],
+    )
+    def test_run_block_counts_as_the_public_chain(self, cfg, ebn0_db):
+        # run_block decodes stripe batches from the channel; the public chain
+        # with stripe_decode, on the same streams, counts the same errors.
+        for seed, noise in ((78, ebn0_db), (79, math.inf)):
+            gen = RandomSource(seed).generator()
+            bits = gen.integers(0, 2, size=(300, cfg.bits_per_block))
+            r = add_awgn(modulate_interleaved(bits_to_symbols(bits, cfg.alphabet), cfg),
+                         NoiseSpec.from_config(noise, cfg), gen)
+            errors = int((symbols_to_bits(stripe_decode(r, cfg), cfg.alphabet) != bits).sum())
+            assert run_block(cfg, noise, "stripe", RandomSource(seed), blocks=300) == (bits.size, errors)
+            assert noise == math.inf or errors > 0
 
 
 @pytest.mark.parametrize(

@@ -161,13 +161,13 @@ class TestRunBlock:
 
     def test_iteration_count_reaches_decoder(self, monkeypatch):
         seen = []
-        decode = harness.stripe_decode
+        decode = harness._stripe_batch
 
-        def spy(received, cfg, params):
+        def spy(y, cfg, params):
             seen.append(params.iterations)
-            return decode(received, cfg, params)
+            return decode(y, cfg, params)
 
-        monkeypatch.setattr(harness, "stripe_decode", spy)
+        monkeypatch.setattr(harness, "_stripe_batch", spy)
         cfg = SefdmConfig(8, 8, 1, 2, QAM4)
         run_block(cfg, 4.0, "stripe", RandomSource(63), blocks=4)
         run_block(cfg, 4.0, "stripe", RandomSource(63), blocks=4, params=StripeParams(3))

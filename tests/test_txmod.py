@@ -90,6 +90,10 @@ def _receiver_arrays(alphabet):
     getters = {
         f"{alphabet.name}-weights{k}": lambda cfg, k=k: front(cfg).weights[k] for k in range(3)
     }
+    getters[f"{alphabet.name}-signal"] = lambda cfg: front(cfg).signal
+    getters.update({
+        f"{alphabet.name}-noise{i}": lambda cfg, i=i: front(cfg).noise[i] for i in range(2)
+    })
     if alphabet == QAM4:
         getters.update({"matched": lambda cfg: front(cfg).matched,
                         "gram": lambda cfg: front(cfg).gram})
