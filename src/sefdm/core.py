@@ -185,11 +185,22 @@ def bits_to_symbols(bits, alphabet: Alphabet) -> np.ndarray:
         )
     # Explicit lengths: a -1 cannot be resolved when a batch axis is empty.
     groups = bits.reshape(bits.shape[:-1] + (bits.shape[-1] // bps, bps))
-    weights = 1 << np.arange(bps - 1, -1, -1)
     # The labels are distinct bps-bit integers, so sorting the points by
     # label puts the point labelled v at position v.
-    by_label = alphabet.points_array()[np.argsort(np.asarray(alphabet.labels) @ weights)]
-    return by_label[groups @ weights]
+    by_label = alphabet.points_array()[np.argsort(_label_values(np.asarray(alphabet.labels)))]
+    return by_label[_label_values(groups)]
+
+
+def _label_values(groups: np.ndarray) -> np.ndarray:
+    """The integer that each bit group on the last axis spells, first bit most
+    significant, by shift-and-add over the bit columns: numpy runs an integer
+    matmul without BLAS, at several times the cost. A one-bit group is its
+    own column, returned as a view."""
+    values = groups[..., 0]
+    for column in range(1, groups.shape[-1]):
+        values = values << 1
+        values |= groups[..., column]
+    return values
 
 
 def _labels_bpsk(f: np.ndarray) -> tuple[bool, np.ndarray]:

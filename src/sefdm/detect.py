@@ -11,10 +11,12 @@ At alpha = 1, y is the first N bins of the M-point DFT of r scaled by 1/M,
 so the OFDM baseline is slice_symbols(y).
 
 Who builds y: the public decoders take M samples r and compute y = r C^H / M
-(`_matched_outputs`); the Monte Carlo harness does so for ML and the OFDM
-baseline. For the stripe decoder the harness never builds r:
-`_matched_channel` computes y = s G + (sigma n) C^H / M straight from the
-symbols and add_awgn's noise draws, projected through cached real maps.
+(`_matched_outputs`); the Monte Carlo harness does so for ML only. For the
+stripe decoder and the OFDM baseline the harness never builds r, but computes
+y straight from the symbols and add_awgn's noise draws: `_matched_channel`
+as y = s G + (sigma n) C^H / M, projected through cached real maps, and
+`_ofdm_channel`, at alpha = 1 where G = I, as y = s + DFT(sigma n)[:N] / M,
+one FFT per batch.
 
 The stripe decoder treats the SEFDM signal as c interleaved OFDM systems.
 Branch k carries the carrier group K = {k, k + c, k + 2c, ...}, whose carriers
@@ -299,6 +301,30 @@ def _matched_channel(symbols: np.ndarray, cfg: SefdmConfig, sigma2: float, gen) 
     noise *= math.sqrt(sigma2 / 2.0)
     y_float = y.view(float)
     y_float += noise
+    return y
+
+
+def _ofdm_channel(symbols: np.ndarray, cfg: SefdmConfig, sigma2: float, gen) -> np.ndarray:
+    """Matched-filter outputs of a (B, N) symbol batch at alpha = 1 sent
+    through add_awgn, without the M samples: y = s + DFT(sigma n)[:N] / M.
+
+    At alpha = 1 the carriers are the first N bins of the M-point DFT, so
+    G = I, and the noise enters y through one FFT. sigma n is add_awgn's
+    noise on the (B, M) samples, from the same draws in the same order: the
+    real parts' standard normals, then the imaginary parts', into one reused
+    buffer; none at sigma2 = 0. Returns complex y for every alphabet.
+    """
+    if sigma2 == 0.0:
+        return symbols.astype(complex)
+    draw = gen.standard_normal((len(symbols), cfg.n_samples))
+    noise = np.empty(draw.shape, dtype=complex)
+    noise.real = draw
+    gen.standard_normal(out=draw)
+    noise.imag = draw
+    del draw  # freed before the FFT allocates its output
+    y = np.fft.fft(noise)[:, : cfg.n_carriers]
+    y *= math.sqrt(sigma2 / 2.0) / cfg.n_samples
+    y += symbols
     return y
 
 

@@ -32,7 +32,7 @@ from .core import (
 from .detect import (
     StripeParams,
     _matched_channel,
-    _matched_outputs,
+    _ofdm_channel,
     _stripe_batch,
     check_ml_guard,
     ml_decode,
@@ -174,13 +174,14 @@ def run_block(
 
     Pipeline: random bits -> symbols -> interleaved modulation -> AWGN ->
     decode -> bits; deterministic given the rng stream. The stripe decoder
-    reads a block only through its matched-filter outputs y, so for it the
-    modulation, the AWGN and the matched filter are one step,
-    detect._matched_channel, which draws the same noise as add_awgn; ML and
-    the OFDM baseline decode the M samples. `params` sets the
-    stripe decoder's iteration count. The decoder must pass the rules
-    SweepSpec checks: a known name, alpha = 1 for ofdm, the ML guard for ml.
-    `blocks` must be a positive integer.
+    and the OFDM baseline read a block only through its matched-filter
+    outputs y, so for them the modulation, the AWGN and the matched filter
+    are one step, which draws the same noise as add_awgn:
+    detect._matched_channel for the stripe decoder and, at alpha = 1, the
+    one-FFT detect._ofdm_channel, whose y the baseline slices. ML decodes the
+    M samples. `params` sets the stripe decoder's iteration count. The
+    decoder must pass the rules SweepSpec checks: a known name, alpha = 1 for
+    ofdm, the ML guard for ml. `blocks` must be a positive integer.
     """
     _check_int("blocks", blocks)
     if blocks < 1:
@@ -194,13 +195,10 @@ def run_block(
     if decoder == "stripe":
         y = _matched_channel(symbols, cfg, noise.sigma2, gen)
         decoded = slice_symbols(_stripe_batch(y, cfg, params), cfg.alphabet)
+    elif decoder == "ofdm":
+        decoded = slice_symbols(_ofdm_channel(symbols, cfg, noise.sigma2, gen), cfg.alphabet)
     else:
-        received = add_awgn(modulate_interleaved(symbols, cfg), noise, gen)
-        if decoder == "ml":
-            decoded = ml_decode(received, cfg)
-        else:
-            # ofdm baseline, valid at alpha = 1: slice the matched-filter outputs.
-            decoded = slice_symbols(_matched_outputs(received, cfg)[0], cfg.alphabet)
+        decoded = ml_decode(add_awgn(modulate_interleaved(symbols, cfg), noise, gen), cfg)
     decoded_bits = symbols_to_bits(decoded, cfg.alphabet)
     return bits.size, int((decoded_bits != bits).sum())
 
@@ -277,15 +275,17 @@ def db_penalty(records: list[BerRecord], target_ber: float) -> float:
     """Horizontal gap (dB) between a measured BER curve and the theory curve.
 
     The measured Eb/N0 at target_ber is found by log-linear interpolation
-    between the bracketing sweep points; the theory value comes from
-    theory_ebn0_db. Raises if the records span more than one curve, repeat an
-    Eb/N0 point, or do not bracket the target.
+    between the bracketing sweep points, finite Eb/N0 only: toward a +inf
+    point the interpolation would give inf or nan. The theory value comes
+    from theory_ebn0_db. Raises if the records span more than one curve,
+    repeat an Eb/N0 point, or do not bracket the target.
     """
     curve = {(r.alpha_num, r.alpha_den, r.carriers, r.samples, r.alphabet, r.decoder, r.iterations)
              for r in records}
     if len(curve) > 1 or len({r.ebn0_db for r in records}) < len(records):
         raise ValueError("records must form one curve, with one record per Eb/N0 point")
-    pts = sorted((r.ebn0_db, r.ber) for r in records if r.ber > 0)  # by Eb/N0: no two are equal
+    # By Eb/N0: no two are equal.
+    pts = sorted((r.ebn0_db, r.ber) for r in records if r.ber > 0 and math.isfinite(r.ebn0_db))
     for (db0, ber0), (db1, ber1) in zip(pts, pts[1:]):
         if ber0 >= target_ber >= ber1 and ber0 > ber1:
             frac = (math.log10(target_ber) - math.log10(ber0)) / (

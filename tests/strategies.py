@@ -16,12 +16,22 @@ def least_samples(n_car: int, alphas) -> int:
     return max([n_car] + [math.ceil(n_car / c) * b for b, c in alphas])
 
 
+# A complex alphabet without closed forms, with 3-bit Gray labels round the ring.
+_H = math.sqrt(0.5)
+PSK8 = Alphabet(
+    "8psk",
+    (1 + 0j, _H + _H * 1j, 1j, -_H + _H * 1j, -1 + 0j, -_H - _H * 1j, -1j, _H - _H * 1j),
+    ((0, 0, 0), (0, 0, 1), (0, 1, 1), (0, 1, 0), (1, 1, 0), (1, 1, 1), (1, 0, 1), (1, 0, 0)),
+)
+
+
 @st.composite
-def configs(draw):
-    """N up to 24, any alpha b/c with c <= 6, BPSK or 4-QAM, and any M from
-    the least the branches fit in up to 4x that, so M need not be a multiple of c."""
+def configs(draw, alphas=ALPHAS):
+    """N up to 24, any alpha b/c of `alphas` (by default every one with
+    c <= 6), BPSK or 4-QAM, and any M from the least the branches fit in up
+    to 4x that, so M need not be a multiple of c."""
     n_car = draw(st.integers(1, 24))
-    b, c = draw(st.sampled_from(ALPHAS))
+    b, c = draw(st.sampled_from(alphas))
     least = least_samples(n_car, [(b, c)])
     n_samp = draw(st.integers(least, 4 * least))
     return SefdmConfig(n_car, n_samp, b, c, draw(st.sampled_from([BPSK, QAM4])))

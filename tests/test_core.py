@@ -20,7 +20,7 @@ from sefdm import (
     get_alphabet,
     symbols_to_bits,
 )
-from strategies import generic_twin
+from strategies import PSK8, generic_twin
 
 
 class TestAlphabet:
@@ -92,7 +92,7 @@ class TestBitMapping:
         assert symbols_to_bits(np.zeros(0, complex), QAM4).size == 0
         assert bits_to_symbols(np.zeros(0, int), QAM4).size == 0
 
-    @pytest.mark.parametrize("alphabet", [BPSK, QAM4])
+    @pytest.mark.parametrize("alphabet", [BPSK, QAM4, PSK8])
     def test_round_trip_exhaustive_n2(self, alphabet):
         bps = alphabet.bits_per_symbol
         for bits in itertools.product((0, 1), repeat=2 * bps):
@@ -154,7 +154,7 @@ class TestBitMapping:
 
     @settings(max_examples=100, deadline=None)
     @given(
-        alphabet=st.sampled_from([BPSK, QAM4]),
+        alphabet=st.sampled_from([BPSK, QAM4, PSK8]),
         batch=array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4),
         symbols=st.integers(0, 8),
         seed=st.integers(0, 2**32 - 1),

@@ -35,18 +35,13 @@ from sefdm import (
     truncate,
 )
 from sefdm import detect
-from strategies import configs, generic_twin, slicer_inputs
+from strategies import PSK8, configs, generic_twin, slicer_inputs
 
 
 # Alphabets without closed forms, for the generic paths: the real PAM4 and
-# the complex 8-PSK.
+# the complex 8-PSK (PSK8, shared with tests/test_core.py).
 _PAM4 = Alphabet("pam4", (3 + 0j, 1 + 0j, -1 + 0j, -3 + 0j), ((0, 0), (0, 1), (1, 1), (1, 0)))
 _H = math.sqrt(0.5)
-_PSK8 = Alphabet(
-    "8psk",
-    (1 + 0j, _H + _H * 1j, 1j, -_H + _H * 1j, -1 + 0j, -_H - _H * 1j, -1j, _H - _H * 1j),
-    ((0, 0, 0), (0, 0, 1), (0, 1, 1), (0, 1, 0), (1, 1, 0), (1, 1, 1), (1, 0, 1), (1, 0, 0)),
-)
 
 
 def _random_symbols(cfg, seed):
@@ -322,9 +317,9 @@ class TestSlice:
             (_PAM4, np.finfo(float).max, 3 + 0j),
             (_PAM4, complex(-np.finfo(float).max, np.finfo(float).max), -3 + 0j),
             (_PAM4, complex(1e-300, -1e300), 1 + 0j),
-            (_PSK8, complex(-np.finfo(float).max, -np.finfo(float).max), -_H - _H * 1j),
-            (_PSK8, complex(1e300, -1e-300), 1 + 0j),
-            (_PSK8, complex(-1e-300, 1e300), 1j),
+            (PSK8, complex(-np.finfo(float).max, -np.finfo(float).max), -_H - _H * 1j),
+            (PSK8, complex(1e300, -1e-300), 1 + 0j),
+            (PSK8, complex(-1e-300, 1e300), 1j),
         ],
     )
     def test_generic_slicer_on_huge_estimates(self, alphabet, est, expected):
@@ -536,7 +531,7 @@ class TestMatchedFilterDomain:
         # BPSK and QAM4 have closed-form pulls; any other alphabet is pulled
         # by gravity, which must agree with the reference as well: the real
         # PAM4 on the decoder's N reals, and the complex 8-PSK.
-        for alphabet in (_PAM4, _PSK8):
+        for alphabet in (_PAM4, PSK8):
             cfg = SefdmConfig(10, 12, 5, 6, alphabet)
             gen = RandomSource(64).generator()
             s = bits_to_symbols(gen.integers(0, 2, size=(8, cfg.bits_per_block)), alphabet)
@@ -546,7 +541,7 @@ class TestMatchedFilterDomain:
             assert np.max(np.abs(soft - reference)) <= 1e-9
             assert np.array_equal(stripe_decode(r, cfg), slice_symbols(reference, alphabet))
             # A real alphabet runs on N reals, as BPSK does.
-            assert soft.imag.any() == (alphabet is _PSK8)
+            assert soft.imag.any() == (alphabet is PSK8)
 
     def test_unequal_real_and_imaginary_ranges_are_rejected(self):
         # The truncation box is one range for real and imaginary parts alike.
@@ -671,6 +666,78 @@ class TestMatchedChannel:
                          NoiseSpec.from_config(noise, cfg), gen)
             errors = int((symbols_to_bits(stripe_decode(r, cfg), cfg.alphabet) != bits).sum())
             assert run_block(cfg, noise, "stripe", RandomSource(seed), blocks=300) == (bits.size, errors)
+            assert noise == math.inf or errors > 0
+
+
+class TestOfdmChannel:
+    """detect._ofdm_channel: y = s + DFT(sigma n)[:N] / M at alpha = 1, against
+    the public chain of modulation, add_awgn and the matched filter."""
+
+    @staticmethod
+    def _chain(s, cfg, ebn0_db, gen):
+        r = add_awgn(modulate_interleaved(s, cfg), NoiseSpec.from_config(ebn0_db, cfg), gen)
+        return detect._matched_outputs(r, cfg)[0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        cfg=configs(alphas=[(1, 1)]),
+        seed=st.integers(0, 2**32 - 1),
+        ebn0_db=st.one_of(st.just(math.inf), st.floats(0.0, 15.0)),
+    )
+    # Gate 02's shape with both alphabets, and gate 07's alpha = 1, M > N.
+    @example(cfg=SefdmConfig(64, 64, 1, 1, BPSK), seed=80, ebn0_db=0.0)
+    @example(cfg=SefdmConfig(64, 64, 1, 1, QAM4), seed=81, ebn0_db=0.0)
+    @example(cfg=SefdmConfig(4, 128, 1, 1, QAM4), seed=82, ebn0_db=8.0)
+    def test_matches_the_sample_chain(self, cfg, seed, ebn0_db):
+        # The same complex y, within rounding, from the same draws, after
+        # which both generators are in the same state.
+        chain_gen, channel_gen = (RandomSource(seed).generator() for _ in range(2))
+        s = bits_to_symbols(chain_gen.integers(0, 2, size=(32, cfg.bits_per_block)), cfg.alphabet)
+        channel_gen.integers(0, 2, size=(32, cfg.bits_per_block))
+        want = self._chain(s, cfg, ebn0_db, chain_gen)
+        sigma2 = NoiseSpec.from_config(ebn0_db, cfg).sigma2
+        got = detect._ofdm_channel(s, cfg, sigma2, channel_gen)
+        assert got.dtype == want.dtype == complex and got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12
+        assert np.array_equal(channel_gen.random(4), chain_gen.random(4))  # the same next draws
+
+    def test_no_draws_without_noise(self):
+        for alphabet in (QAM4, BPSK):
+            cfg = SefdmConfig(64, 64, 1, 1, alphabet)
+            s = bits_to_symbols(RandomSource(83).generator().integers(0, 2, size=(8, cfg.bits_per_block)),
+                                alphabet)
+            y = detect._ofdm_channel(s, cfg, 0.0, _NoDraws())
+            want = self._chain(s, cfg, math.inf, _NoDraws())
+            assert np.max(np.abs(y - want)) <= 1e-12
+            assert np.array_equal(y, s) and not np.shares_memory(y, s)
+
+    @pytest.mark.parametrize("alphabet", [QAM4, BPSK])
+    def test_noise_covariance_is_scaled_identity(self, alphabet):
+        # Zero symbols leave the noise alone: at alpha = 1, G = I, so its
+        # covariance is E[y^H y] = sigma2 I / M with E[y^T y] = 0.
+        cfg = SefdmConfig(16, 32, 1, 1, alphabet)
+        blocks, sigma2 = 40_000, 3.0 * cfg.n_samples
+        y = detect._ofdm_channel(np.zeros((blocks, cfg.n_carriers), complex), cfg, sigma2,
+                                 RandomSource(84).generator())
+        tolerance = 5 * (sigma2 / cfg.n_samples) / math.sqrt(blocks)
+        covariance = y.conj().T @ y / blocks
+        assert np.max(np.abs(covariance - np.eye(cfg.n_carriers) * sigma2 / cfg.n_samples)) <= tolerance
+        assert np.max(np.abs(y.T @ y / blocks)) <= tolerance
+
+    @pytest.mark.parametrize("alphabet", [BPSK, QAM4], ids=["gate02-bpsk", "gate02-qam4"])
+    def test_run_block_counts_as_the_public_chain(self, alphabet):
+        # run_block slices OFDM batches from the channel; the public chain,
+        # sliced from the M samples' matched-filter outputs on the same
+        # streams, counts the same errors.
+        cfg = SefdmConfig(64, 64, 1, 1, alphabet)
+        for seed, noise in ((85, 4.0), (86, math.inf)):
+            gen = RandomSource(seed).generator()
+            bits = gen.integers(0, 2, size=(300, cfg.bits_per_block))
+            r = add_awgn(modulate_interleaved(bits_to_symbols(bits, alphabet), cfg),
+                         NoiseSpec.from_config(noise, cfg), gen)
+            decided = slice_symbols(detect._matched_outputs(r, cfg)[0], alphabet)
+            errors = int((symbols_to_bits(decided, alphabet) != bits).sum())
+            assert run_block(cfg, noise, "ofdm", RandomSource(seed), blocks=300) == (bits.size, errors)
             assert noise == math.inf or errors > 0
 
 

@@ -1,7 +1,9 @@
 """Monte Carlo harness: references, intervals, sweep determinism."""
 
 import dataclasses
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -178,6 +180,17 @@ class TestRunBlock:
         ber_sweep(spec)
         assert seen == [20, 3, 7]
 
+    def test_keeps_every_name_the_tracer_wraps(self):
+        # The benchmark's tracer looks up each name of HARNESS_CALLS on the
+        # harness module, so a layer call the harness stops importing breaks
+        # a traced run. Read from bench/spans.py, never edited here.
+        path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+        spec = importlib.util.spec_from_file_location("bench_spans", path)
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        assert spans.HARNESS_CALLS
+        assert [name for name in spans.HARNESS_CALLS if not hasattr(harness, name)] == []
+
 
 class TestBerSweep:
     def _small_spec(self, **overrides):
@@ -347,3 +360,14 @@ class TestDbPenalty:
         records = [self._record(db, theoretical_ber(db, QAM4)) for db in (0.0, 1.0)]
         with pytest.raises(ValueError):
             db_penalty(records, 1e-6)
+
+    @pytest.mark.parametrize(
+        "points",
+        [((12.0, 1e-3), (13.0, 5e-4), (math.inf, 1e-5)), ((13.0, 1e-4), (math.inf, 5e-5))],
+        ids=["bracketed-toward-inf", "target-at-the-last-finite-point"],
+    )
+    def test_no_interpolation_toward_inf(self, points):
+        # Interpolating toward a +inf point gave inf and nan; the finite
+        # points alone do not bracket 1e-4.
+        with pytest.raises(ValueError, match="does not bracket"):
+            db_penalty([self._record(db, ber) for db, ber in points], 1e-4)
