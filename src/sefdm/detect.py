@@ -78,6 +78,13 @@ from .txmod import _read_only, carrier_matrix
 # a constellation point (distance < 1e-12).
 _EXACT_HIT_SQ = 1e-24
 
+# Rows per tile of the stripe decoder's products. BLAS computes a product's
+# rows in register tiles; a row of a partial tile, or of a one-row product
+# (a matrix-vector call), may sum in another order and differ in its last
+# bits. Padded to whole tiles, every row sums as in any other batch, so the
+# decoder's rows do not depend on each other and batches may be stacked.
+_ROW_TILE = 16
+
 # Enumeration guard for the exhaustive decoder.
 _ML_GUARD = 2**20
 
@@ -370,13 +377,17 @@ def _stripe_batch(y: np.ndarray, cfg: SefdmConfig, params: StripeParams) -> np.n
     lo, hi, im_lo, im_hi = cfg.alphabet.bounding_box
     # `gravity` is looked up at call time, so that tracing can wrap it.
     if _is_real(cfg.alphabet):
-        s_hat, front, generic = np.zeros(y.shape), y.real, lambda s: gravity(s, cfg.alphabet).real
+        front, generic = y.real, lambda s: gravity(s, cfg.alphabet).real
     elif (lo, hi) == (im_lo, im_hi):
-        s_hat, front, generic = np.zeros_like(y), y, lambda s: gravity(s, cfg.alphabet)
+        front, generic = y, lambda s: gravity(s, cfg.alphabet)
     else:
         raise DomainError(f"{cfg.alphabet.name!r}: stripe needs equal real and imaginary ranges")
     pull = _PULLS.get(cfg.alphabet, generic)
     lo, hi = np.array(lo), np.array(hi)  # 0-d: a ufunc converts a Python float on every call
+    rows = len(y)
+    if rows % _ROW_TILE:  # whole tiles, padded with zero rows: see _ROW_TILE
+        front = np.pad(front, ((0, -rows % _ROW_TILE), (0, 0)))
+    s_hat = np.zeros(front.shape, front.dtype)
     s_float = s_hat.view(float)
     c = cfg.alpha_den
     # Contiguous per-branch y: a ufunc over contiguous arrays runs as one
@@ -400,7 +411,7 @@ def _stripe_batch(y: np.ndarray, cfg: SefdmConfig, params: StripeParams) -> np.n
         s_hat *= total_iter - j
         s_hat /= total_iter
         s_hat += (j / total_iter) * pulled
-    return s_hat
+    return s_hat[:rows]
 
 
 def check_ml_guard(cfg: SefdmConfig) -> int:

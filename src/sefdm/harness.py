@@ -1,8 +1,15 @@
 """Monte Carlo BER measurement with binomial confidence intervals.
 
 A sweep point is one (alpha, Eb/N0) pair. Each point owns a Philox stream
-derived from the master seed and the point's grid index, so results are
-bit-identical no matter how points are scheduled across workers.
+derived from the master seed and the point's grid index, and draws its
+batches from it in its own order. A sweep runs its points in lockstep: at
+each step every point still short of its stop rule draws its next batch,
+and consecutive same-alpha batches of the step are decoded together as one
+stack of at most _STACK_BLOCKS rows (a larger batch is a stack of its own).
+Every step after the channel works row by row, so a point's results are
+bit-identical however its batches are stacked and however the points are
+split across workers. A record's wall_time_s is its point's share, by
+blocks, of the times of the stacks it was decoded in.
 """
 
 from __future__ import annotations
@@ -14,6 +21,8 @@ import statistics
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+
+import numpy as np
 
 from .channel import NoiseSpec, add_awgn
 from .core import (
@@ -43,9 +52,16 @@ from .txmod import modulate_interleaved
 
 DECODERS = ("stripe", "ml", "ofdm")
 
-# Symbol periods simulated per RNG draw; fixed so results do not depend on
-# how a point's loop is chunked.
+# Symbol periods a point simulates per step of a sweep, drawn from its own
+# stream; fixed so that its results do not depend on how its batches are
+# stacked or its sweep is split across workers.
 _BATCH_PERIODS = 1024
+
+# Rows per stack: consecutive same-alpha batches of one step share one
+# receiver call up to this many blocks; a larger batch is a stack of its own.
+# Below about 256 rows the stripe decoder's per-call numpy overhead, which
+# does not depend on the row count, outweighs its arithmetic.
+_STACK_BLOCKS = 256
 
 
 def _check_decoder(decoder: str, cfg: SefdmConfig) -> None:
@@ -172,6 +188,11 @@ def run_block(
 ):
     """Simulate `blocks` symbol periods; returns (bits sent, bit errors).
 
+    This is one batch run alone. ber_sweep runs its points in lockstep and
+    decodes the same-alpha batches of a step as stacks of up to
+    _STACK_BLOCKS blocks, through the same pipeline (_run_stack); each point
+    counts what its batches would count here, one by one from its stream.
+
     Pipeline: random bits -> symbols -> interleaved modulation -> AWGN ->
     decode -> bits; deterministic given the rng stream. The stripe decoder
     and the OFDM baseline read a block only through its matched-filter
@@ -187,60 +208,130 @@ def run_block(
     if blocks < 1:
         raise ValueError(f"blocks must be positive, got {blocks}")
     _check_decoder(decoder, cfg)
-    gen = _as_generator(rng)
-    bps = cfg.alphabet.bits_per_symbol
-    bits = gen.integers(0, 2, size=(blocks, cfg.n_carriers * bps))
-    symbols = bits_to_symbols(bits, cfg.alphabet)
     noise = NoiseSpec.from_config(ebn0_db, cfg)
+    (counts,) = _run_stack(cfg, decoder, params, [(noise, _as_generator(rng), blocks)])
+    return counts
+
+
+def _stacked(parts: list[np.ndarray]) -> np.ndarray:
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _run_stack(cfg: SefdmConfig, decoder: str, params: StripeParams, batches):
+    """Simulate one stack of batches of one configuration; returns each
+    batch's (bits sent, bit errors).
+
+    `batches` holds (NoiseSpec, generator, blocks) triples, each with its own
+    generator. Each batch draws its bits, then its noise, from its generator
+    as it would alone, and its channel sees only its own rows. Bit mapping,
+    the receiver and demapping then take the stacked rows in one call each;
+    bit errors are counted per row and summed per batch. Every array of the
+    stack is freed on return, before the next stack is drawn.
+    """
+    width = cfg.n_carriers * cfg.alphabet.bits_per_symbol
+    starts = np.cumsum([0] + [blocks for _, _, blocks in batches[:-1]])
+    parts = [(noise, gen, slice(start, start + blocks))
+             for (noise, gen, blocks), start in zip(batches, starts)]
+
+    def per_batch(channel, stack):
+        return _stacked([channel(stack[rows], noise, gen) for noise, gen, rows in parts])
+
+    bits = _stacked([gen.integers(0, 2, size=(blocks, width)) for _, gen, blocks in batches])
+    symbols = bits_to_symbols(bits, cfg.alphabet)
     if decoder == "stripe":
-        y = _matched_channel(symbols, cfg, noise.sigma2, gen)
+        y = per_batch(lambda s, noise, gen: _matched_channel(s, cfg, noise.sigma2, gen), symbols)
         decoded = slice_symbols(_stripe_batch(y, cfg, params), cfg.alphabet)
     elif decoder == "ofdm":
-        decoded = slice_symbols(_ofdm_channel(symbols, cfg, noise.sigma2, gen), cfg.alphabet)
+        # y is not kept: it is freed once sliced, before the demapping allocates.
+        decoded = slice_symbols(
+            per_batch(lambda s, noise, gen: _ofdm_channel(s, cfg, noise.sigma2, gen), symbols),
+            cfg.alphabet,
+        )
     else:
-        decoded = ml_decode(add_awgn(modulate_interleaved(symbols, cfg), noise, gen), cfg)
-    decoded_bits = symbols_to_bits(decoded, cfg.alphabet)
-    return bits.size, int((decoded_bits != bits).sum())
+        decoded = ml_decode(per_batch(add_awgn, modulate_interleaved(symbols, cfg)), cfg)
+    row_errors = np.count_nonzero(symbols_to_bits(decoded, cfg.alphabet) != bits, axis=1)
+    errors = np.add.reduceat(row_errors, starts)
+    return [(blocks * width, int(errs)) for (_, _, blocks), errs in zip(batches, errors)]
 
 
-def _run_point(spec: SweepSpec, index: int) -> BerRecord:
-    alpha_index, ebn0_index = divmod(index, len(spec.ebn0_db))
-    alpha_num, alpha_den = spec.alphas[alpha_index]
-    ebn0 = spec.ebn0_db[ebn0_index]
-    cfg = spec.config(alpha_num, alpha_den)
-    gen = RandomSource(spec.seed, index).generator()
+@dataclass
+class _Point:
+    """A sweep point's stream, noise and running totals."""
+
+    cfg: SefdmConfig
+    noise: NoiseSpec
+    gen: np.random.Generator
+    periods: int = 0
+    bits: int = 0
+    errors: int = 0
+    wall_time_s: float = 0.0
+
+
+def _stacks(batches):
+    """Consecutive same-configuration (point, blocks) batches, grouped into
+    stacks of at most _STACK_BLOCKS blocks; a larger batch stands alone."""
+    stack, size = [], 0
+    for point, blocks in batches:
+        if stack and (point.cfg != stack[0][0].cfg or size + blocks > _STACK_BLOCKS):
+            yield stack
+            stack, size = [], 0
+        stack.append((point, blocks))
+        size += blocks
+    if stack:
+        yield stack
+
+
+def _run_points(spec: SweepSpec, indices) -> list[BerRecord]:
+    """Run the grid points `indices` in lockstep; records in their order.
+
+    At each step every point short of its stop rule draws its next batch of
+    at most _BATCH_PERIODS periods; the step's batches run stack by stack.
+    A point's wall_time_s is its share, by blocks, of its stacks' times.
+    """
     params = StripeParams(spec.iterations)
+    cap = int(spec.max_symbol_periods)
+    points = []
+    for index in indices:
+        alpha_index, ebn0_index = divmod(index, len(spec.ebn0_db))
+        cfg = spec.config(*spec.alphas[alpha_index])
+        noise = NoiseSpec.from_config(spec.ebn0_db[ebn0_index], cfg)
+        points.append(_Point(cfg, noise, RandomSource(spec.seed, index).generator()))
 
-    start = time.perf_counter()
-    bits_total = 0
-    errors_total = 0
-    periods_done = 0
-    while periods_done < spec.max_symbol_periods and errors_total < spec.min_bit_errors:
-        batch = min(_BATCH_PERIODS, spec.max_symbol_periods - periods_done)
-        bits, errs = run_block(cfg, ebn0, spec.decoder, gen, blocks=batch, params=params)
-        bits_total += bits
-        errors_total += errs
-        periods_done += batch
-    wall = time.perf_counter() - start
+    active = points
+    while active:
+        step = [(p, min(_BATCH_PERIODS, cap - p.periods)) for p in active]
+        for stack in _stacks(step):
+            start = time.perf_counter()
+            counts = _run_stack(stack[0][0].cfg, spec.decoder, params,
+                                [(p.noise, p.gen, blocks) for p, blocks in stack])
+            share = (time.perf_counter() - start) / sum(blocks for _, blocks in stack)
+            for (p, blocks), (bits, errors) in zip(stack, counts):
+                p.periods += blocks
+                p.bits += bits
+                p.errors += errors
+                p.wall_time_s += share * blocks
+        active = [p for p in active if p.periods < cap and p.errors < spec.min_bit_errors]
+    return [_record(spec, p) for p in points]
 
-    ber = errors_total / bits_total
-    ci_low, ci_high = confidence_interval(errors_total, bits_total)
+
+def _record(spec: SweepSpec, point: _Point) -> BerRecord:
+    ci_low, ci_high = confidence_interval(point.errors, point.bits)
     return BerRecord(
-        alpha_num=alpha_num,
-        alpha_den=alpha_den,
+        alpha_num=point.cfg.alpha_num,
+        alpha_den=point.cfg.alpha_den,
         carriers=spec.carriers,
         samples=spec.samples,
-        alphabet=cfg.alphabet.name,
+        alphabet=point.cfg.alphabet.name,
         decoder=spec.decoder,
         iterations=spec.iterations,
-        ebn0_db=ebn0,
-        bits=bits_total,
-        errors=errors_total,
-        ber=ber,
+        ebn0_db=point.noise.ebn0_db,
+        bits=point.bits,
+        errors=point.errors,
+        ber=point.errors / point.bits,
         ci_low=ci_low,
         ci_high=ci_high,
         seed=spec.seed,
-        wall_time_s=wall,
+        wall_time_s=point.wall_time_s,
     )
 
 
@@ -257,18 +348,21 @@ def ber_sweep(spec: SweepSpec, workers: int = 1) -> list[BerRecord]:
     Records come back in grid order (alphas in spec order, Eb/N0 in spec
     order) and are bit-identical for any worker count. The pool is capped at
     the grid's point count and the usable cores; with a cap of one the
-    points run serially in this process. `workers` must be a positive integer.
+    points run serially in this process. With w workers the grid is split
+    into w contiguous runs of points, each run in lockstep by one worker.
+    `workers` must be a positive integer.
     """
     _check_int("workers", workers)
     if workers < 1:
         raise ValueError(f"workers must be positive, got {workers}")
-    run = functools.partial(_run_point, spec)
-    points = range(len(spec.alphas) * len(spec.ebn0_db))
-    workers = min(workers, len(points), _usable_cores())
+    count = len(spec.alphas) * len(spec.ebn0_db)
+    workers = min(workers, count, _usable_cores())
     if workers <= 1:
-        return list(map(run, points))
+        return _run_points(spec, range(count))
+    runs = [range(count * i // workers, count * (i + 1) // workers) for i in range(workers)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run, points))
+        return [record for run in pool.map(functools.partial(_run_points, spec), runs)
+                for record in run]
 
 
 def db_penalty(records: list[BerRecord], target_ber: float) -> float:

@@ -741,6 +741,66 @@ class TestOfdmChannel:
             assert noise == math.inf or errors > 0
 
 
+class TestRowIndependence:
+    """The harness decodes the batches of several sweep points as one stack.
+    That leaves each point's results unchanged only if every step after the
+    channel works row by row: on a stacked batch each must give, bit for bit,
+    the concatenation of its results on the parts. A one-row part is
+    included because numpy may compute a one-row product by another BLAS
+    path. Should this fail on some BLAS, stacks must not be formed there."""
+
+    # Stack sizes of the harness: one-row batches, 64-row batches, a partial batch.
+    PARTS = [(1, 63, 64, 128), (255, 1), (1, 1, 1), (76, 76, 76), (3, 5, 17, 231)]
+
+    @staticmethod
+    def _stacked_equals_parts(fn, stack, parts):
+        bounds = np.cumsum((0,) + parts)
+        whole = fn(stack)
+        pieces = np.concatenate([fn(stack[a:b]) for a, b in zip(bounds, bounds[1:])])
+        assert whole.dtype == pieces.dtype and whole.shape == pieces.shape
+        assert whole.tobytes() == pieces.tobytes()
+
+    # The stripe gate configurations, with both alphabets.
+    @pytest.mark.parametrize("parts", PARTS)
+    @pytest.mark.parametrize("alphabet", [BPSK, QAM4], ids=["bpsk", "qam4"])
+    @pytest.mark.parametrize("dims", [(16, 256, 5, 6), (16, 16, 5, 6), (16, 16, 4, 5), (64, 64, 1, 2)],
+                             ids=["n16-m256-5/6", "n16-m16-5/6", "n16-m16-4/5", "n64-m64-1/2"])
+    def test_stripe_receiver(self, dims, alphabet, parts):
+        cfg = SefdmConfig(*dims, alphabet)
+        gen = RandomSource(87).generator()
+        bits = gen.integers(0, 2, size=(sum(parts), cfg.bits_per_block))
+        symbols = bits_to_symbols(bits, alphabet)
+        y = detect._matched_channel(symbols, cfg, NoiseSpec.from_config(6.0, cfg).sigma2, gen)
+        params = StripeParams()
+        soft = detect._stripe_batch(y, cfg, params)
+        decided = slice_symbols(soft, alphabet)
+        self._stacked_equals_parts(lambda b: bits_to_symbols(b, alphabet), bits, parts)
+        self._stacked_equals_parts(lambda x: detect._stripe_batch(x, cfg, params), y, parts)
+        self._stacked_equals_parts(lambda x: slice_symbols(x, alphabet), soft, parts)
+        self._stacked_equals_parts(lambda x: symbols_to_bits(x, alphabet), decided, parts)
+
+    @pytest.mark.parametrize("parts", PARTS)
+    @pytest.mark.parametrize("alphabet", [BPSK, QAM4], ids=["bpsk", "qam4"])
+    def test_ofdm_slicer(self, alphabet, parts):
+        cfg = SefdmConfig(64, 64, 1, 1, alphabet)
+        gen = RandomSource(88).generator()
+        symbols = bits_to_symbols(gen.integers(0, 2, size=(sum(parts), cfg.bits_per_block)), alphabet)
+        y = detect._ofdm_channel(symbols, cfg, NoiseSpec.from_config(2.0, cfg).sigma2, gen)
+        self._stacked_equals_parts(lambda x: slice_symbols(x, alphabet), y, parts)
+
+    @pytest.mark.parametrize("parts", PARTS)
+    @pytest.mark.parametrize("dims", [(4, 128, 1, 1), (4, 128, 3, 4), (4, 128, 3, 5)],
+                             ids=["n4-m128-1/1", "n4-m128-3/4", "n4-m128-3/5"])
+    def test_ml_receiver(self, dims, parts):
+        # Gate 07's configurations: the transmitter and ML decode stacks too.
+        cfg = SefdmConfig(*dims, QAM4)
+        gen = RandomSource(89).generator()
+        symbols = bits_to_symbols(gen.integers(0, 2, size=(sum(parts), cfg.bits_per_block)), QAM4)
+        r = add_awgn(modulate_interleaved(symbols, cfg), NoiseSpec.from_config(4.0, cfg), gen)
+        self._stacked_equals_parts(lambda s: modulate_interleaved(s, cfg), symbols, parts)
+        self._stacked_equals_parts(lambda x: ml_decode(x, cfg), r, parts)
+
+
 @pytest.mark.parametrize(
     "call",
     [

@@ -2,7 +2,9 @@
 
 import dataclasses
 import importlib.util
+import itertools
 import math
+import time
 from pathlib import Path
 
 import numpy as np
@@ -327,6 +329,128 @@ class TestBerSweep:
             lo, hi = confidence_interval(errors, bits)
             hits += lo <= truth <= hi
         assert hits >= 180
+
+
+def _reference_sweep(spec):
+    """Each point alone through run_block, in _BATCH_PERIODS batches drawn
+    from its own stream, under the sweep's stop rule: the records a sweep
+    gives however it stacks its points' batches."""
+    params = StripeParams(spec.iterations)
+    records = []
+    for index, (alpha, ebn0) in enumerate(itertools.product(spec.alphas, spec.ebn0_db)):
+        cfg = spec.config(*alpha)
+        gen = RandomSource(spec.seed, index).generator()
+        periods = bits = errors = 0
+        while periods < spec.max_symbol_periods and errors < spec.min_bit_errors:
+            batch = min(harness._BATCH_PERIODS, spec.max_symbol_periods - periods)
+            sent, wrong = run_block(cfg, ebn0, spec.decoder, gen, blocks=batch, params=params)
+            periods, bits, errors = periods + batch, bits + sent, errors + wrong
+        ci_low, ci_high = confidence_interval(errors, bits)
+        records.append(BerRecord(
+            alpha_num=alpha[0], alpha_den=alpha[1], carriers=spec.carriers,
+            samples=spec.samples, alphabet=spec.alphabet, decoder=spec.decoder,
+            iterations=spec.iterations, ebn0_db=ebn0, bits=bits, errors=errors,
+            ber=errors / bits, ci_low=ci_low, ci_high=ci_high, seed=spec.seed, wall_time_s=0.0,
+        ))
+    return records
+
+
+# The stripe gate configurations (03-06; 04 and 05 share N16/M16) and gate
+# 02's OFDM baseline, as (carriers, samples, alphas, decoder).
+_GATES = {
+    "n16-m256": (16, 256, ((5, 6),), "stripe"),
+    "n16-m16": (16, 16, ((5, 6), (4, 5)), "stripe"),
+    "n64-m64-1/2": (64, 64, ((1, 2),), "stripe"),
+    "n64-ofdm": (64, 64, ((1, 1),), "ofdm"),
+}
+
+
+class TestLockstep:
+    """ber_sweep runs a sweep's points in lockstep and decodes the same-alpha
+    batches of one step as stacks; its records must equal each point's run
+    alone."""
+
+    @staticmethod
+    def _spec(gate, alphabet, **overrides):
+        carriers, samples, alphas, decoder = _GATES[gate]
+        base = dict(
+            carriers=carriers, samples=samples, alphas=alphas, ebn0_db=(4.0, 6.0, 8.0),
+            alphabet=alphabet, decoder=decoder, min_bit_errors=10**9, seed=11,
+        )
+        base.update(overrides)
+        return SweepSpec(**base)
+
+    # 1: stacks of one-row batches; 64: three points in one stack; 300: each
+    # batch a stack of its own; 1100: a full batch, then a partial one.
+    @pytest.mark.parametrize("cap", [1, 64, 300, 1100])
+    @pytest.mark.parametrize("alphabet", ["bpsk", "qam4"])
+    @pytest.mark.parametrize("gate", _GATES)
+    def test_records_equal_each_point_alone(self, gate, alphabet, cap):
+        spec = self._spec(gate, alphabet, max_symbol_periods=cap)
+        assert _strip_wall(ber_sweep(spec, workers=1)) == _reference_sweep(spec)
+
+    # Each case starts a process pool, so only a few run with two workers.
+    @pytest.mark.parametrize("cap", [1, 64, 1100])
+    def test_records_equal_each_point_alone_with_two_workers(self, cap):
+        spec = self._spec("n16-m16", "qam4", max_symbol_periods=cap)
+        assert _strip_wall(ber_sweep(spec, workers=2)) == _reference_sweep(spec)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_points_that_stop_at_different_steps(self, workers):
+        # Gate 02's BPSK baseline meets 300 errors within one batch at 0 dB,
+        # within two at 6 dB, and never at 12 dB, which stops on its cap.
+        spec = self._spec("n64-ofdm", "bpsk", ebn0_db=(0.0, 6.0, 12.0),
+                          min_bit_errors=300, max_symbol_periods=3000)
+        records = _strip_wall(ber_sweep(spec, workers=workers))
+        assert [r.bits // 64 for r in records] == [1024, 2048, 3000]
+        assert records == _reference_sweep(spec)
+
+    def test_short_batches_stack_and_drop_out(self, monkeypatch):
+        # 40-period batches: several steps, two alphas, stacks of up to six
+        # batches that lose their points as these meet the error target.
+        monkeypatch.setattr(harness, "_BATCH_PERIODS", 40)
+        spec = self._spec("n16-m16", "qam4", ebn0_db=(3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0),
+                          min_bit_errors=100, max_symbol_periods=600)
+        records = _strip_wall(ber_sweep(spec, workers=1))
+        assert len({r.bits for r in records}) > 3
+        assert records == _reference_sweep(spec)
+
+    @pytest.mark.parametrize(
+        "gate, decoder, calls",
+        [("n16-m256", "stripe", {"bits_to_symbols": [256], "_stripe_batch": [256],
+                                 "slice_symbols": [256], "symbols_to_bits": [256]}),
+         ("n16-m16", "ml", {"bits_to_symbols": [256, 256], "modulate_interleaved": [256, 256],
+                            "add_awgn": [64] * 8, "ml_decode": [256, 256],
+                            "symbols_to_bits": [256, 256]})],
+    )
+    def test_one_call_per_stack(self, monkeypatch, gate, decoder, calls):
+        # Four 64-block points per alpha form one 256-block stack; each
+        # point's channel sees only its own rows. Looked up on the harness
+        # module at call time, as bench/spans.py wraps them.
+        rows = {name: [] for name in calls}
+        for name in calls:
+            def counted(x, *args, fn=getattr(harness, name), seen=rows[name]):
+                seen.append(len(x))
+                return fn(x, *args)
+
+            monkeypatch.setattr(harness, name, counted)
+        carriers, samples, alphas, _ = _GATES[gate]
+        if decoder == "ml":
+            carriers, samples = 4, 16
+        spec = self._spec(gate, "qam4", carriers=carriers, samples=samples, decoder=decoder,
+                          ebn0_db=(4.0, 5.0, 6.0, 7.0), max_symbol_periods=64)
+        ber_sweep(spec, workers=1)
+        assert rows == calls
+
+    def test_wall_time_is_the_points_share_of_their_stack(self):
+        # Four equal points share one stack: equal shares that add up to no
+        # more than the sweep took.
+        spec = self._spec("n16-m256", "qam4", ebn0_db=(4.0, 5.0, 6.0, 7.0), max_symbol_periods=64)
+        start = time.perf_counter()
+        records = ber_sweep(spec, workers=1)
+        elapsed = time.perf_counter() - start
+        (wall,) = {r.wall_time_s for r in records}
+        assert 0.0 < 4 * wall <= elapsed
 
 
 class TestDbPenalty:
