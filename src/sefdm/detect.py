@@ -12,11 +12,10 @@ so the OFDM baseline is slice_symbols(y).
 
 Who builds y: the public decoders take M samples r and compute y = r C^H / M
 (`_matched_outputs`); the Monte Carlo harness does so for ML only. For the
-stripe decoder and the OFDM baseline the harness never builds r, but computes
-y straight from the symbols and add_awgn's noise draws: `_matched_channel`
-as y = s G + (sigma n) C^H / M, projected through cached real maps, and
-`_ofdm_channel`, at alpha = 1 where G = I, as y = s + DFT(sigma n)[:N] / M,
-one FFT per batch.
+stripe decoder and the OFDM baseline it computes y straight from the symbols
+and add_awgn's noise draws (`_matched_channel`, `_ofdm_channel`): the same
+draws in the same order, the real parts' standard normals, then the imaginary
+parts', into one reused buffer, and none at sigma2 = 0.
 
 The stripe decoder treats the SEFDM signal as c interleaved OFDM systems.
 Branch k carries the carrier group K = {k, k + c, k + 2c, ...}, whose carriers
@@ -27,26 +26,18 @@ Gauss-Seidel pass over the c groups. The decoder keeps its state in carrier
 order, where branch k is the stride k::c, and updates it in real arithmetic:
 on the float view [Re s_0, Im s_0, Re s_1, ...] one branch update is a single
 real matrix product with the (2N, 2|K|) real embedding of -G[:, K] (rows of K
-zeroed), plus y_K, written back through the complex view s[:, k::c]. Each
-update is truncated to the bounding box [lo, hi], one range for real and
-imaginary parts alike; after every sweep the whole estimate vector is
-annealed in place toward the constellation with an inverse-square-distance
-"gravity" pull whose weight ramps linearly from 1/J to 1 over the J sweeps.
-The final vector is sliced to hard symbols.
+zeroed), plus y_K, truncated to the bounding box [lo, hi], one range for real
+and imaginary parts alike, and written back to s[:, k::c]. After every sweep
+the estimates are annealed toward the constellation with an
+inverse-square-distance "gravity" pull whose weight ramps linearly from 1/J
+to 1 over the J sweeps; the final vector is sliced to hard symbols.
 
 A real alphabet (BPSK, PAM) keeps every imaginary part at 0, so its state is
 N reals: the weights are Re(-G[:, K]), the even rows and columns of the
 embedding, and y_K is Re y[:, k::c]. A complex alphabet needs equal real and
-imaginary ranges (DomainError otherwise). Gravity toward BPSK's +-1 has the
-closed form 2x / (1 + x^2), exact at +-1; toward QAM4's +-1+-1j it is closed
-too (`_pull_qam4`). Each maps every point exactly to itself. The public
-`gravity` computes the inverse-square centroid from its definition and
-pulls every alphabet without a closed form.
-
-The hard slicer, behind the OFDM baseline and the stripe decoder's last
-step, decides BPSK and QAM4 in closed form from the signs of the real and
-imaginary parts, ties broken in the points' order: the exact nearest point.
-Every other alphabet takes the nearest point by float distance.
+imaginary ranges (DomainError otherwise). BPSK and QAM4 are pulled in closed
+form (`_pull_bpsk`, `_pull_qam4`), every other alphabet by the public
+`gravity`, and the hard slicer decides BPSK and QAM4 in closed form too.
 
 The ML decoder minimises s G s^H - 2 Re(y . conj(s)) over every candidate
 symbol vector, in one loop that builds, scores and drops one chunk of
@@ -121,51 +112,50 @@ def gravity(est, alphabet: Alphabet):
     return complex(out) if np.isscalar(est) or e.ndim == 0 else out
 
 
-def _pull_bpsk(x: np.ndarray) -> np.ndarray:
+def _pull_bpsk(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """gravity toward the BPSK points +-1 for real estimates: the weights
-    1/(x-1)^2 and 1/(x+1)^2 give the centroid 2x / (1 + x^2)."""
-    # In place: on a 1024-block batch, four fresh temporaries cost 5x the
-    # arithmetic in first-touch page faults.
-    out = x * x
+    1/(x-1)^2 and 1/(x+1)^2 give the centroid 2x / (1 + x^2), exact at +-1.
+    Written into `out` where given."""
+    out = np.multiply(x, x, out=out)
     out += 1
     np.divide(x, out, out=out)
     out *= 2
     return out
 
 
-def _pull_qam4(s: np.ndarray) -> np.ndarray:
-    """gravity toward the QAM4 points +-1+-1j for estimates in the bounding
-    box. With u = Re s, v = Im s, q = u^2 + v^2 and r = q + 2, the squared
-    distances are r - 2(+-u +- v), and the inverse-square weighted centroid is
+def _pull_qam4(s: np.ndarray, out: np.ndarray | None = None, work: np.ndarray | None = None):
+    """gravity toward the QAM4 points +-1+-1j for a (B, N) batch of estimates
+    in the bounding box. With u = Re s, v = Im s, q = u^2 + v^2 and r = q + 2,
+    the squared distances are r - 2(+-u +- v), and the inverse-square weighted
+    centroid is
 
         Re = 2u (r^2 - 4(u^2 - v^2)) / (r (q^2 + 4))
         Im = 2v (r^2 + 4(u^2 - v^2)) / (r (q^2 + 4)),
 
     where q^2 + 4 = r^2 - 4r + 8 >= 4, so nothing divides by zero, and each
-    point maps exactly to itself."""
-    # No (P, B, N) distance workspace, and few ufunc calls: at 64 blocks a
-    # batch is bound by per-call overhead.
+    point maps exactly to itself. Written into `out` (complex, s's shape),
+    with `work`, a (5, B, N) float array, as scratch, where given."""
     f = s.view(float)
-    num = f * f
+    if work is None:
+        work = np.empty((5,) + s.shape)
+    num = np.multiply(f, f, out=work[:2].reshape(f.shape))
     u2, v2 = num[:, 0::2], num[:, 1::2]
-    scale = u2 + v2
-    r = scale + 2
+    scale, r, diff = work[2:]
+    np.add(u2, v2, out=scale)
+    np.add(scale, 2, out=r)
     scale *= scale
     scale += 4
     scale *= r
     np.divide(2, scale, out=scale)
-    diff = u2 - v2
+    np.subtract(u2, v2, out=diff)
     diff *= 4
     r *= r
     np.subtract(r, diff, out=u2)
     np.add(r, diff, out=v2)
-    out = s * scale
+    out = np.multiply(s, scale, out=out)
     out_float = out.view(float)
     out_float *= num
     return out
-
-
-_PULLS = {BPSK: _pull_bpsk, QAM4: _pull_qam4}  # closed forms; gravity for the rest
 
 
 def _is_real(alphabet: Alphabet) -> bool:  # then the stripe state is N reals
@@ -288,11 +278,9 @@ def _matched_channel(symbols: np.ndarray, cfg: SefdmConfig, sigma2: float, gen) 
     """Matched-filter outputs of a (B, N) symbol batch sent through add_awgn,
     without the M samples: y = s G + (sigma n) C^H / M.
 
-    sigma n is add_awgn's noise on the (B, M) samples, from the same draws in
-    the same order: the real parts' standard normals, then the imaginary
-    parts', into one reused buffer; none at sigma2 = 0. Each draw is
-    projected onto the float view of y by one real product with its (M, 2N)
-    noise map, and the (B, 2N) sum is scaled by sqrt(sigma2 / 2). Returns
+    sigma n is add_awgn's noise on the (B, M) samples. Each draw is projected
+    onto the float view of y by one real product with its (M, 2N) noise map,
+    and the (B, 2N) sum is scaled by sqrt(sigma2 / 2). Returns
     complex y; for a real alphabet, the float Re y, which is all the stripe
     decoder reads, from the (N, N) Re G and the Re columns of the maps.
     """
@@ -316,10 +304,8 @@ def _ofdm_channel(symbols: np.ndarray, cfg: SefdmConfig, sigma2: float, gen) -> 
     through add_awgn, without the M samples: y = s + DFT(sigma n)[:N] / M.
 
     At alpha = 1 the carriers are the first N bins of the M-point DFT, so
-    G = I, and the noise enters y through one FFT. sigma n is add_awgn's
-    noise on the (B, M) samples, from the same draws in the same order: the
-    real parts' standard normals, then the imaginary parts', into one reused
-    buffer; none at sigma2 = 0. Returns complex y for every alphabet.
+    G = I, and add_awgn's noise sigma n on the (B, M) samples enters y
+    through one FFT. Returns complex y for every alphabet.
     """
     if sigma2 == 0.0:
         return symbols.astype(complex)
@@ -372,45 +358,59 @@ def stripe_decode(r, cfg: SefdmConfig, params: StripeParams = StripeParams()) ->
 def _stripe_batch(y: np.ndarray, cfg: SefdmConfig, params: StripeParams) -> np.ndarray:
     """Run J sweeps over a (B, N) batch of matched-filter outputs; returns
     (B, N) soft estimates, real for a real alphabet and complex otherwise.
-    A real alphabet reads Re y only, so y may be given as those floats."""
-    total_iter = params.iterations
-    lo, hi, im_lo, im_hi = cfg.alphabet.bounding_box
-    # `gravity` is looked up at call time, so that tracing can wrap it.
-    if _is_real(cfg.alphabet):
-        front, generic = y.real, lambda s: gravity(s, cfg.alphabet).real
-    elif (lo, hi) == (im_lo, im_hi):
-        front, generic = y, lambda s: gravity(s, cfg.alphabet)
-    else:
-        raise DomainError(f"{cfg.alphabet.name!r}: stripe needs equal real and imaginary ranges")
-    pull = _PULLS.get(cfg.alphabet, generic)
+    A real alphabet reads Re y only, so y may be given as those floats. Only
+    `gravity` allocates within a sweep; y is dropped once copied per branch."""
+    total_iter, alphabet = params.iterations, cfg.alphabet
+    lo, hi, im_lo, im_hi = alphabet.bounding_box
+    real = _is_real(alphabet)
+    if not real and (lo, hi) != (im_lo, im_hi):
+        raise DomainError(f"{alphabet.name!r}: stripe needs equal real and imaginary ranges")
     lo, hi = np.array(lo), np.array(hi)  # 0-d: a ufunc converts a Python float on every call
-    rows = len(y)
-    if rows % _ROW_TILE:  # whole tiles, padded with zero rows: see _ROW_TILE
-        front = np.pad(front, ((0, -rows % _ROW_TILE), (0, 0)))
-    s_hat = np.zeros(front.shape, front.dtype)
+    front, rows, c = (y.real if real else y), len(y), cfg.alpha_den
+    del y
+    # Whole tiles, padded with zero rows: see _ROW_TILE.
+    s_hat = np.zeros((rows + -rows % _ROW_TILE, cfg.n_carriers), front.dtype)
     s_float = s_hat.view(float)
-    c = cfg.alpha_den
-    # Contiguous per-branch y: a ufunc over contiguous arrays runs as one
-    # flat loop, where a strided operand loops row by row.
-    sweep = [
-        (np.ascontiguousarray(front[:, k::c]).view(float), s_hat[:, k::c], weights)
-        for k, weights in enumerate(_matched_filter(cfg).weights)
-    ]
+    weights = _matched_filter(cfg).weights
+    est = {w.shape[1]: np.empty((len(s_hat), w.shape[1])) for w in weights}
+    sweep = []
+    for k, w in enumerate(weights):
+        # Contiguous per-branch y: a ufunc over contiguous arrays runs as one
+        # flat loop, where a strided operand loops row by row.
+        y_k = np.zeros_like(s_hat[:, k::c])
+        y_k[:rows] = front[:, k::c]
+        sweep.append((y_k.view(float), s_hat[:, k::c], w, est[w.shape[1]]))
+    del front
+    pulled = np.empty_like(s_hat)
+    if alphabet == BPSK:
+        pull = lambda: _pull_bpsk(s_hat, pulled)
+    elif alphabet == QAM4:
+        work = np.empty((5,) + s_hat.shape)
+        pull = lambda: _pull_qam4(s_hat, pulled, work)
+    else:  # `gravity` is looked up at call time, so that tracing can wrap it
+        pull = lambda: gravity(s_hat, alphabet).real if real else gravity(s_hat, alphabet)
+    # Annealing on the float view: a complex s * t, t real, computes a t - b 0
+    # and a 0 + b t, the float products up to the sign of a zero, and numpy's
+    # complex s /= J computes (a + b 0)(1/J), a product with 1/J, where a real
+    # state divides by J. So these steps give the complex steps' bytes, as
+    # tests/test_detect.py checks against the complex loop.
+    shrink, by = (np.divide, total_iter) if real else (np.multiply, 1 / total_iter)
     for j in range(1, total_iter + 1):
         # The updated branch is visible to the remaining k within this sweep.
-        for y_k, s_k, weights in sweep:
-            est = s_float @ weights
-            est += y_k
+        for y_k, s_k, w, e in sweep:
+            np.matmul(s_float, w, out=e)
+            e += y_k
             # Truncation to the bounding box: every float of the state has range [lo, hi].
-            np.maximum(est, lo, out=est)
-            np.minimum(est, hi, out=est)
-            s_k[...] = est.view(s_hat.dtype)
-        # Annealing in the state's own dtype: a complex /= T multiplies by
-        # 1/T, where a float /= T divides, so the two would differ in bits.
-        pulled = pull(s_hat)
-        s_hat *= total_iter - j
-        s_hat /= total_iter
-        s_hat += (j / total_iter) * pulled
+            # A real state is clamped straight into its stride.
+            np.maximum(e, lo, out=e)
+            np.minimum(e, hi, out=s_k if real else e)
+            if not real:
+                s_k[...] = e.view(complex)
+        p = pull().view(float)
+        s_float *= total_iter - j
+        shrink(s_float, by, out=s_float)
+        p *= j / total_iter
+        s_float += p
     return s_hat[:rows]
 
 

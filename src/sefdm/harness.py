@@ -5,10 +5,10 @@ derived from the master seed and the point's grid index, and draws its
 batches from it in its own order. A sweep runs its points in lockstep: at
 each step every point still short of its stop rule draws its next batch,
 and consecutive same-alpha batches of the step are decoded together as one
-stack of at most _STACK_BLOCKS rows (a larger batch is a stack of its own).
-Every step after the channel works row by row, so a point's results are
-bit-identical however its batches are stacked and however the points are
-split across workers. A record's wall_time_s is its point's share, by
+stack whose decoder state fits _STACK_STATE_BYTES (a larger batch is a stack
+of its own). Every step after the channel works row by row, so a point's
+results are bit-identical however its batches are stacked and however the
+points are split across workers. A record's wall_time_s is its point's share, by
 blocks, of the times of the stacks it was decoded in.
 """
 
@@ -40,6 +40,7 @@ from .core import (
 )
 from .detect import (
     StripeParams,
+    _is_real,
     _matched_channel,
     _ofdm_channel,
     _stripe_batch,
@@ -57,11 +58,16 @@ DECODERS = ("stripe", "ml", "ofdm")
 # stacked or its sweep is split across workers.
 _BATCH_PERIODS = 1024
 
-# Rows per stack: consecutive same-alpha batches of one step share one
-# receiver call up to this many blocks; a larger batch is a stack of its own.
-# Below about 256 rows the stripe decoder's per-call numpy overhead, which
-# does not depend on the row count, outweighs its arithmetic.
-_STACK_BLOCKS = 256
+# Bytes of decoder state per stack: consecutive same-alpha batches of one
+# step share one receiver call while their rows' state, 8 N bytes per row for
+# a real alphabet and 16 N for a complex one, fits; a larger batch stands
+# alone. Per-block stack times under glibc's default malloc at 64 / 128 /
+# 256 / 512 KB of state (medians of 15, us), by N/M, alpha and alphabet:
+# 16/16 5/6 QAM4 12.2 / 10.7 / 10.2 / 10.4; 16/16 4/5 QAM4 11.8 / 10.1 / 9.2 /
+# 10.2; 16/256 5/6 QAM4 24.5 / 22.6 / 22.0 / 22.2; 64/64 1/2 BPSK 17.6 / 15.8 /
+# 16.8 / 16.7. The bound is the BPSK knee: end to end, a 256 KB bound read
+# x0.86-0.94 of it on the three N = M sweeps (BENCH_21.json).
+_STACK_STATE_BYTES = 2**17
 
 
 def _check_decoder(decoder: str, cfg: SefdmConfig) -> None:
@@ -188,19 +194,15 @@ def run_block(
 ):
     """Simulate `blocks` symbol periods; returns (bits sent, bit errors).
 
-    This is one batch run alone. ber_sweep runs its points in lockstep and
-    decodes the same-alpha batches of a step as stacks of up to
-    _STACK_BLOCKS blocks, through the same pipeline (_run_stack); each point
-    counts what its batches would count here, one by one from its stream.
+    This is the one-batch stack of ber_sweep's pipeline (_run_stack): a
+    sweep's point counts what its batches would count here, one by one from
+    its stream.
 
     Pipeline: random bits -> symbols -> interleaved modulation -> AWGN ->
     decode -> bits; deterministic given the rng stream. The stripe decoder
-    and the OFDM baseline read a block only through its matched-filter
-    outputs y, so for them the modulation, the AWGN and the matched filter
-    are one step, which draws the same noise as add_awgn:
-    detect._matched_channel for the stripe decoder and, at alpha = 1, the
-    one-FFT detect._ofdm_channel, whose y the baseline slices. ML decodes the
-    M samples. `params` sets the stripe decoder's iteration count. The
+    and the OFDM baseline take their matched-filter outputs straight from
+    the symbols and add_awgn's draws (see sefdm.detect); ML decodes the M
+    samples. `params` sets the stripe decoder's iteration count. The
     decoder must pass the rules SweepSpec checks: a known name, alpha = 1 for
     ofdm, the ML guard for ml. `blocks` must be a positive integer.
     """
@@ -237,18 +239,20 @@ def _run_stack(cfg: SefdmConfig, decoder: str, params: StripeParams, batches):
         return _stacked([channel(stack[rows], noise, gen) for noise, gen, rows in parts])
 
     bits = _stacked([gen.integers(0, 2, size=(blocks, width)) for _, gen, blocks in batches])
-    symbols = bits_to_symbols(bits, cfg.alphabet)
+    # The symbols, y and the soft estimates are made as call arguments, never
+    # bound to a name here: a Python callee owns its arguments, so the symbols
+    # are freed once their channel returns, and y once the stripe decoder has
+    # made its per-branch copies or the slicer has read it.
+    symbols = lambda: bits_to_symbols(bits, cfg.alphabet)
     if decoder == "stripe":
-        y = per_batch(lambda s, noise, gen: _matched_channel(s, cfg, noise.sigma2, gen), symbols)
-        decoded = slice_symbols(_stripe_batch(y, cfg, params), cfg.alphabet)
+        channel = lambda s, noise, gen: _matched_channel(s, cfg, noise.sigma2, gen)
+        decoded = slice_symbols(_stripe_batch(per_batch(channel, symbols()), cfg, params),
+                                cfg.alphabet)
     elif decoder == "ofdm":
-        # y is not kept: it is freed once sliced, before the demapping allocates.
-        decoded = slice_symbols(
-            per_batch(lambda s, noise, gen: _ofdm_channel(s, cfg, noise.sigma2, gen), symbols),
-            cfg.alphabet,
-        )
+        channel = lambda s, noise, gen: _ofdm_channel(s, cfg, noise.sigma2, gen)
+        decoded = slice_symbols(per_batch(channel, symbols()), cfg.alphabet)
     else:
-        decoded = ml_decode(per_batch(add_awgn, modulate_interleaved(symbols, cfg)), cfg)
+        decoded = ml_decode(per_batch(add_awgn, modulate_interleaved(symbols(), cfg)), cfg)
     row_errors = np.count_nonzero(symbols_to_bits(decoded, cfg.alphabet) != bits, axis=1)
     errors = np.add.reduceat(row_errors, starts)
     return [(blocks * width, int(errs)) for (_, _, blocks), errs in zip(batches, errors)]
@@ -269,10 +273,13 @@ class _Point:
 
 def _stacks(batches):
     """Consecutive same-configuration (point, blocks) batches, grouped into
-    stacks of at most _STACK_BLOCKS blocks; a larger batch stands alone."""
+    stacks whose decoder state fits _STACK_STATE_BYTES; a larger batch stands
+    alone."""
     stack, size = [], 0
     for point, blocks in batches:
-        if stack and (point.cfg != stack[0][0].cfg or size + blocks > _STACK_BLOCKS):
+        row_bytes = (8 if _is_real(point.cfg.alphabet) else 16) * point.cfg.n_carriers
+        if stack and (point.cfg != stack[0][0].cfg
+                      or (size + blocks) * row_bytes > _STACK_STATE_BYTES):
             yield stack
             stack, size = [], 0
         stack.append((point, blocks))

@@ -116,6 +116,41 @@ def _reference_stripe_batch(r: np.ndarray, cfg: SefdmConfig, params: StripeParam
     return s_hat
 
 
+def _allocating_stripe_batch(y: np.ndarray, cfg: SefdmConfig, params: StripeParams) -> np.ndarray:
+    """detect._stripe_batch as first written in the matched-filter domain: a
+    fresh array for every product, pull and padded copy, every branch written
+    back through the state's own view, and annealing in the state's own
+    dtype. Kept as the reference whose bytes the allocation-free decoder must
+    reproduce."""
+    total_iter = params.iterations
+    lo, hi, _, _ = cfg.alphabet.bounding_box
+    if detect._is_real(cfg.alphabet):
+        front, generic = y.real, lambda s: gravity(s, cfg.alphabet).real
+    else:
+        front, generic = y, lambda s: gravity(s, cfg.alphabet)
+    pull = {BPSK: detect._pull_bpsk, QAM4: detect._pull_qam4}.get(cfg.alphabet, generic)
+    rows = len(y)
+    if rows % detect._ROW_TILE:
+        front = np.pad(front, ((0, -rows % detect._ROW_TILE), (0, 0)))
+    s_hat = np.zeros(front.shape, front.dtype)
+    s_float = s_hat.view(float)
+    c = cfg.alpha_den
+    sweep = [(np.ascontiguousarray(front[:, k::c]).view(float), s_hat[:, k::c], weights)
+             for k, weights in enumerate(detect._matched_filter(cfg).weights)]
+    for j in range(1, total_iter + 1):
+        for y_k, s_k, weights in sweep:
+            est = s_float @ weights
+            est += y_k
+            np.maximum(est, lo, out=est)
+            np.minimum(est, hi, out=est)
+            s_k[...] = est.view(s_hat.dtype)
+        pulled = pull(s_hat)
+        s_hat *= total_iter - j
+        s_hat /= total_iter
+        s_hat += (j / total_iter) * pulled
+    return s_hat[:rows]
+
+
 class TestDemodSubsystem:
     """One branch (subsystem) demodulated by the matched-filter front end."""
 
@@ -739,6 +774,36 @@ class TestOfdmChannel:
             errors = int((symbols_to_bits(decided, alphabet) != bits).sum())
             assert run_block(cfg, noise, "ofdm", RandomSource(seed), blocks=300) == (bits.size, errors)
             assert noise == math.inf or errors > 0
+
+
+class TestAllocationFree:
+    """_stripe_batch reuses its buffers across sweeps, clamps a real state
+    straight into its stride and anneals on the float view; its output must
+    equal the allocating reference above byte for byte."""
+
+    @pytest.mark.parametrize("ebn0_db", [math.inf, 6.0])
+    @pytest.mark.parametrize(
+        "dims, alphabet",
+        [((16, 256, 5, 6), QAM4), ((16, 16, 5, 6), QAM4), ((16, 16, 4, 5), QAM4),
+         ((64, 64, 1, 2), BPSK), ((10, 12, 5, 6), _PAM4), ((10, 12, 5, 6), PSK8)],
+        ids=["n16-m256-5/6", "n16-m16-5/6", "n16-m16-4/5", "n64-m64-1/2", "pam4", "psk8"],
+    )
+    def test_bytes_equal_the_allocating_loop(self, dims, alphabet, ebn0_db):
+        # The four stripe gate configurations, and the generic pull on a real
+        # and a complex alphabet; no rows, partial tiles, whole tiles, one
+        # sweep and 20.
+        cfg = SefdmConfig(*dims, alphabet)
+        gen = RandomSource(90).generator()
+        sigma2 = NoiseSpec.from_config(ebn0_db, cfg).sigma2
+        for rows in (0, 1, 17, 256, 512):
+            bits = gen.integers(0, 2, size=(rows, cfg.bits_per_block))
+            y = detect._matched_channel(bits_to_symbols(bits, alphabet), cfg, sigma2, gen)
+            for iterations in (1, 20):
+                params = StripeParams(iterations)
+                soft = detect._stripe_batch(y, cfg, params)
+                reference = _allocating_stripe_batch(y, cfg, params)
+                assert soft.dtype == reference.dtype and soft.shape == (rows, cfg.n_carriers)
+                assert soft.tobytes() == reference.tobytes()
 
 
 class TestRowIndependence:

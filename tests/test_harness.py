@@ -415,18 +415,33 @@ class TestLockstep:
         assert len({r.bits for r in records}) > 3
         assert records == _reference_sweep(spec)
 
+    # Sweeps other than four 64-block QAM4 points per alpha, by gate and
+    # decoder: stripe-critical's 256-block points, five to an alpha.
+    _CALL_SWEEPS = {
+        ("n16-m16", "stripe"): dict(alphas=((5, 6),), ebn0_db=(7.0, 8.0, 9.0, 10.0, 11.0),
+                                    max_symbol_periods=256),
+        ("n64-m64-1/2", "stripe"): dict(alphabet="bpsk", ebn0_db=(5.0, 6.0, 7.0, 8.0, 9.0),
+                                        max_symbol_periods=256),
+    }
+
     @pytest.mark.parametrize(
         "gate, decoder, calls",
         [("n16-m256", "stripe", {"bits_to_symbols": [256], "_stripe_batch": [256],
                                  "slice_symbols": [256], "symbols_to_bits": [256]}),
          ("n16-m16", "ml", {"bits_to_symbols": [256, 256], "modulate_interleaved": [256, 256],
                             "add_awgn": [64] * 8, "ml_decode": [256, 256],
-                            "symbols_to_bits": [256, 256]})],
+                            "symbols_to_bits": [256, 256]}),
+         # 16 N bytes of state per QAM4 row: 512 rows fit the bound, 768 do not.
+         ("n16-m16", "stripe", {"bits_to_symbols": [512, 512, 256],
+                                "_stripe_batch": [512, 512, 256]}),
+         # 8 N bytes per BPSK row at N = 64: 256 rows fit, 512 do not.
+         ("n64-m64-1/2", "stripe", {"_stripe_batch": [256] * 5})],
     )
     def test_one_call_per_stack(self, monkeypatch, gate, decoder, calls):
         # Four 64-block points per alpha form one 256-block stack; each
-        # point's channel sees only its own rows. Looked up on the harness
-        # module at call time, as bench/spans.py wraps them.
+        # point's channel sees only its own rows. Larger points stack up to
+        # the bound on the decoder's state. Looked up on the harness module
+        # at call time, as bench/spans.py wraps them.
         rows = {name: [] for name in calls}
         for name in calls:
             def counted(x, *args, fn=getattr(harness, name), seen=rows[name]):
@@ -437,8 +452,9 @@ class TestLockstep:
         carriers, samples, alphas, _ = _GATES[gate]
         if decoder == "ml":
             carriers, samples = 4, 16
-        spec = self._spec(gate, "qam4", carriers=carriers, samples=samples, decoder=decoder,
-                          ebn0_db=(4.0, 5.0, 6.0, 7.0), max_symbol_periods=64)
+        sweep = dict(alphabet="qam4", ebn0_db=(4.0, 5.0, 6.0, 7.0), max_symbol_periods=64)
+        sweep.update(self._CALL_SWEEPS.get((gate, decoder), {}))
+        spec = self._spec(gate, carriers=carriers, samples=samples, decoder=decoder, **sweep)
         ber_sweep(spec, workers=1)
         assert rows == calls
 
