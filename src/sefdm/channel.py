@@ -62,27 +62,33 @@ def add_awgn(u, spec: NoiseSpec, rng) -> np.ndarray:
     """Add circularly symmetric complex Gaussian noise, variance sigma2 per sample.
 
     ``rng`` is a RandomSource or a numpy Generator; the output is deterministic
-    given the generator state. The draws are part of the contract: the real
-    parts, ``standard_normal`` of ``u.shape``, then the imaginary parts, the
-    same again, each scaled by sqrt(sigma2 / 2); at sigma2 = 0 nothing is
-    drawn and a copy of ``u`` is returned. A channel that replaces this one
-    in the Monte Carlo loop must draw the same normals in the same order.
-    The input is not modified; a 0-d input gives a numpy complex scalar.
+    given the generator state. The draws are part of the contract (see
+    `_noise_draws`): each part's normals are scaled by sqrt(sigma2 / 2) and
+    added; at sigma2 = 0 a copy of ``u`` is returned. The input is not
+    modified; a 0-d input gives a numpy complex scalar.
     """
     u = np.asarray(u, dtype=complex)
-    if spec.sigma2 == 0.0:
-        out = u.copy()
-    else:
-        gen = _as_generator(rng)
-        scale = math.sqrt(spec.sigma2 / 2.0)
-        out = np.empty_like(u)
-        draw = gen.standard_normal(u.shape)
+    out = u.copy()
+    scale = math.sqrt(spec.sigma2 / 2.0)
+    for part, draw in zip((out.real, out.imag), _noise_draws(rng, spec.sigma2, np.empty(u.shape))):
         draw *= scale
-        np.add(u.real, draw, out=out.real)
-        gen.standard_normal(out=draw)
-        draw *= scale
-        np.add(u.imag, draw, out=out.imag)
+        part += draw
     return out if out.ndim else out[()]
+
+
+def _noise_draws(rng, sigma2: float, out: np.ndarray):
+    """The noise draws of every channel in the Monte Carlo loop, into the
+    caller's float buffer `out`, shaped as the samples: yields `out` holding
+    the real parts' standard normals, then holding the imaginary parts'; at
+    sigma2 = 0 it draws and yields nothing. The caller uses each draw before
+    asking for the next. A channel that replaces add_awgn draws through here,
+    so that it draws the same normals in the same order."""
+    if sigma2 == 0.0:
+        return
+    gen = _as_generator(rng)
+    for _ in range(2):
+        gen.standard_normal(out=out)
+        yield out
 
 
 def _sinc(x):

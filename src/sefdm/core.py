@@ -1,4 +1,5 @@
-"""Constellation alphabets, system configuration, bit mapping and seeded RNG streams."""
+"""Constellation alphabets, system configuration, bit mapping, seeded RNG
+streams and reusable buffers."""
 
 from __future__ import annotations
 
@@ -166,6 +167,23 @@ def _as_generator(rng) -> np.random.Generator:
     return rng
 
 
+class _Workspace:
+    """Named buffers that successive calls reuse. `take` returns an array of
+    the asked shape and dtype on the memory of the name's earlier takes,
+    which it grows when the asked array is larger. What it holds is whatever
+    the last user left, so a caller writes every element before reading it."""
+
+    def __init__(self):
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def take(self, name: str, shape: tuple[int, ...], dtype=float) -> np.ndarray:
+        size = math.prod(shape)
+        buffer = self._buffers.get(name)
+        if buffer is None or buffer.dtype != dtype or buffer.size < size:
+            buffer = self._buffers[name] = np.empty(size, dtype)
+        return buffer[:size].reshape(shape)
+
+
 def bits_to_symbols(bits, alphabet: Alphabet) -> np.ndarray:
     """Map a bit sequence to constellation symbols, bits_per_symbol bits each.
 
@@ -185,6 +203,16 @@ def bits_to_symbols(bits, alphabet: Alphabet) -> np.ndarray:
         )
     # Explicit lengths: a -1 cannot be resolved when a batch axis is empty.
     groups = bits.reshape(bits.shape[:-1] + (bits.shape[-1] // bps, bps))
+    if alphabet == QAM4:
+        # The Gray ring's point is (1 - 2 b1) + (1 - 2 b0) j, written straight
+        # into the symbols' float view: a label index would be one more
+        # integer array the size of the symbols' real parts.
+        symbols = np.empty(groups.shape[:-1], complex)
+        parts = symbols.view(float).reshape(groups.shape)
+        np.copyto(parts, groups[..., ::-1])
+        parts *= -2
+        parts += 1
+        return symbols
     # The labels are distinct bps-bit integers, so sorting the points by
     # label puts the point labelled v at position v.
     by_label = alphabet.points_array()[np.argsort(_label_values(np.asarray(alphabet.labels)))]

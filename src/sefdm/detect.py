@@ -13,9 +13,11 @@ so the OFDM baseline is slice_symbols(y).
 Who builds y: the public decoders take M samples r and compute y = r C^H / M
 (`_matched_outputs`); the Monte Carlo harness does so for ML only. For the
 stripe decoder and the OFDM baseline it computes y straight from the symbols
-and add_awgn's noise draws (`_matched_channel`, `_ofdm_channel`): the same
-draws in the same order, the real parts' standard normals, then the imaginary
-parts', into one reused buffer, and none at sigma2 = 0.
+and add_awgn's own noise draws, which every channel takes from
+`channel._noise_draws` (`_matched_channel`, `_ofdm_channel`). The OFDM
+channel draws, transforms and writes y in buffers that the harness's stacks
+reuse, and the harness decides BPSK and QAM4 bits straight from the
+estimates' signs (`_decide_bits`), as slice_symbols and symbols_to_bits would.
 
 The stripe decoder treats the SEFDM signal as c interleaved OFDM systems.
 Branch k carries the carrier group K = {k, k + c, k + 2c, ...}, whose carriers
@@ -53,6 +55,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .channel import _noise_draws
 from .core import (
     BPSK,
     QAM4,
@@ -62,6 +65,7 @@ from .core import (
     DomainError,
     SefdmConfig,
     _check_int,
+    _Workspace,
 )
 from .txmod import _read_only, carrier_matrix
 
@@ -286,39 +290,61 @@ def _matched_channel(symbols: np.ndarray, cfg: SefdmConfig, sigma2: float, gen) 
     """
     front = _matched_filter(cfg)
     y = (symbols.real if _is_real(cfg.alphabet) else symbols) @ front.signal
-    if sigma2 == 0.0:
-        return y
-    re_map, im_map = front.noise
-    draw = gen.standard_normal((len(y), cfg.n_samples))
-    noise = draw @ re_map
-    gen.standard_normal(out=draw)
-    noise += draw @ im_map
-    noise *= math.sqrt(sigma2 / 2.0)
-    y_float = y.view(float)
-    y_float += noise
+    draws = _noise_draws(gen, sigma2, np.empty((len(y), cfg.n_samples)))
+    parts = [draw @ noise_map for draw, noise_map in zip(draws, front.noise)]
+    if parts:  # none at sigma2 = 0
+        noise, imaginary = parts
+        noise += imaginary
+        noise *= math.sqrt(sigma2 / 2.0)
+        y_float = y.view(float)
+        y_float += noise
     return y
 
 
-def _ofdm_channel(symbols: np.ndarray, cfg: SefdmConfig, sigma2: float, gen) -> np.ndarray:
+def _ofdm_channel(symbols: np.ndarray, cfg: SefdmConfig, sigma2: float, gen,
+                  out: np.ndarray | None = None, ws: _Workspace | None = None) -> np.ndarray:
     """Matched-filter outputs of a (B, N) symbol batch at alpha = 1 sent
     through add_awgn, without the M samples: y = s + DFT(sigma n)[:N] / M.
 
     At alpha = 1 the carriers are the first N bins of the M-point DFT, so
     G = I, and add_awgn's noise sigma n on the (B, M) samples enters y
-    through one FFT. Returns complex y for every alphabet.
+    through one in-place FFT. The draws and the noise use buffers from `ws`;
+    complex y is written into `out` for every alphabet, where given.
     """
+    if out is None:
+        out = np.empty(symbols.shape, complex)
     if sigma2 == 0.0:
-        return symbols.astype(complex)
-    draw = gen.standard_normal((len(symbols), cfg.n_samples))
-    noise = np.empty(draw.shape, dtype=complex)
-    noise.real = draw
-    gen.standard_normal(out=draw)
-    noise.imag = draw
-    del draw  # freed before the FFT allocates its output
-    y = np.fft.fft(noise)[:, : cfg.n_carriers]
-    y *= math.sqrt(sigma2 / 2.0) / cfg.n_samples
-    y += symbols
-    return y
+        np.copyto(out, symbols)
+        return out
+    ws = ws or _Workspace()
+    shape = (len(symbols), cfg.n_samples)
+    noise = ws.take("noise", shape, complex)
+    draws = _noise_draws(gen, sigma2, ws.take("draw", shape))
+    for part, draw in zip((noise.real, noise.imag), draws):
+        np.copyto(part, draw)
+    np.fft.fft(noise, out=noise)
+    np.multiply(noise[:, : cfg.n_carriers], math.sqrt(sigma2 / 2.0) / cfg.n_samples, out=out)
+    out += symbols
+    return out
+
+
+def _decide_bits(est: np.ndarray, alphabet: Alphabet, ws: _Workspace) -> np.ndarray:
+    """symbols_to_bits(slice_symbols(est)) of a (B, N) batch of BPSK or QAM4
+    estimates, as a bool array from `ws`, straight from the signs: a BPSK
+    bit is Re < 0, and a QAM4 symbol's bits are (Im < 0, Re < 0), where a
+    zero Re follows Im (see _slice_qam4). BPSK estimates may be real.
+    Raises DomainError for non-finite estimates, as slice_symbols does."""
+    floats = est.view(float)
+    if not np.isfinite(floats, out=ws.take("mask", floats.shape, bool)).all():
+        raise DomainError("estimates must be finite")
+    bits = ws.take("decided", (len(est), est.shape[1] * alphabet.bits_per_symbol), bool)
+    if alphabet == BPSK:
+        return np.less(est.real, 0, out=bits)
+    first, second = bits[:, 0::2], bits[:, 1::2]
+    np.less(est.imag, 0, out=first)
+    np.less(est.real, 0, out=second)
+    np.copyto(second, first, where=np.equal(est.real, 0, out=ws.take("mask", est.shape, bool)))
+    return bits
 
 
 def _matched_outputs(r, cfg: SefdmConfig) -> tuple[np.ndarray, tuple[int, ...]]:

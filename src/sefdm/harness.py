@@ -9,7 +9,10 @@ stack whose decoder state fits _STACK_STATE_BYTES (a larger batch is a stack
 of its own). Every step after the channel works row by row, so a point's
 results are bit-identical however its batches are stacked and however the
 points are split across workers. A record's wall_time_s is its point's share, by
-blocks, of the times of the stacks it was decoded in.
+blocks, of the times of the stacks it was decoded in. A run's stacks share
+one workspace, which holds the OFDM channel's buffers and the bit decisions
+so that their pages stay mapped from stack to stack; every array taken from
+it is written before it is read, so no stack sees another's data.
 """
 
 from __future__ import annotations
@@ -34,12 +37,14 @@ from .core import (
     SefdmConfig,
     _as_generator,
     _check_int,
+    _Workspace,
     bits_to_symbols,
     get_alphabet,
     symbols_to_bits,
 )
 from .detect import (
     StripeParams,
+    _decide_bits,
     _is_real,
     _matched_channel,
     _ofdm_channel,
@@ -211,7 +216,8 @@ def run_block(
         raise ValueError(f"blocks must be positive, got {blocks}")
     _check_decoder(decoder, cfg)
     noise = NoiseSpec.from_config(ebn0_db, cfg)
-    (counts,) = _run_stack(cfg, decoder, params, [(noise, _as_generator(rng), blocks)])
+    batch = (noise, _as_generator(rng), blocks)
+    (counts,) = _run_stack(cfg, decoder, params, [batch], _Workspace())
     return counts
 
 
@@ -219,16 +225,17 @@ def _stacked(parts: list[np.ndarray]) -> np.ndarray:
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-def _run_stack(cfg: SefdmConfig, decoder: str, params: StripeParams, batches):
+def _run_stack(cfg: SefdmConfig, decoder: str, params: StripeParams, batches, ws: _Workspace):
     """Simulate one stack of batches of one configuration; returns each
     batch's (bits sent, bit errors).
 
     `batches` holds (NoiseSpec, generator, blocks) triples, each with its own
     generator. Each batch draws its bits, then its noise, from its generator
     as it would alone, and its channel sees only its own rows. Bit mapping,
-    the receiver and demapping then take the stacked rows in one call each;
-    bit errors are counted per row and summed per batch. Every array of the
-    stack is freed on return, before the next stack is drawn.
+    the receiver and the bit decisions then take the stacked rows in one
+    call each; bit errors are counted per row and summed per batch. The OFDM
+    channel's buffers, its y and the BPSK and QAM4 bit decisions come from
+    `ws`; every other array of the stack is freed on return.
     """
     width = cfg.n_carriers * cfg.alphabet.bits_per_symbol
     starts = np.cumsum([0] + [blocks for _, _, blocks in batches[:-1]])
@@ -238,23 +245,32 @@ def _run_stack(cfg: SefdmConfig, decoder: str, params: StripeParams, batches):
     def per_batch(channel, stack):
         return _stacked([channel(stack[rows], noise, gen) for noise, gen, rows in parts])
 
+    def ofdm(stack):  # each batch writes its own rows of one reused y
+        y = ws.take("y", stack.shape, complex)
+        for noise, gen, rows in parts:
+            _ofdm_channel(stack[rows], cfg, noise.sigma2, gen, y[rows], ws)
+        return y
+
     bits = _stacked([gen.integers(0, 2, size=(blocks, width)) for _, gen, blocks in batches])
-    # The symbols, y and the soft estimates are made as call arguments, never
-    # bound to a name here: a Python callee owns its arguments, so the symbols
-    # are freed once their channel returns, and y once the stripe decoder has
-    # made its per-branch copies or the slicer has read it.
+    # The symbols, the stripe decoder's y and the soft estimates are made as
+    # call arguments, never bound to a name here: a Python callee owns its
+    # arguments, so the symbols are freed once their channel returns, and y
+    # once the stripe decoder has made its per-branch copies.
     symbols = lambda: bits_to_symbols(bits, cfg.alphabet)
     if decoder == "stripe":
         channel = lambda s, noise, gen: _matched_channel(s, cfg, noise.sigma2, gen)
-        decoded = slice_symbols(_stripe_batch(per_batch(channel, symbols()), cfg, params),
-                                cfg.alphabet)
+        estimates = lambda: _stripe_batch(per_batch(channel, symbols()), cfg, params)
     elif decoder == "ofdm":
-        channel = lambda s, noise, gen: _ofdm_channel(s, cfg, noise.sigma2, gen)
-        decoded = slice_symbols(per_batch(channel, symbols()), cfg.alphabet)
-    else:
+        estimates = lambda: ofdm(symbols())
+    if decoder == "ml":
         decoded = ml_decode(per_batch(add_awgn, modulate_interleaved(symbols(), cfg)), cfg)
-    row_errors = np.count_nonzero(symbols_to_bits(decoded, cfg.alphabet) != bits, axis=1)
-    errors = np.add.reduceat(row_errors, starts)
+        wrong = symbols_to_bits(decoded, cfg.alphabet) != bits
+    elif cfg.alphabet in (BPSK, QAM4):
+        decided = _decide_bits(estimates(), cfg.alphabet, ws)
+        wrong = np.not_equal(decided, bits, out=decided)
+    else:
+        wrong = symbols_to_bits(slice_symbols(estimates(), cfg.alphabet), cfg.alphabet) != bits
+    errors = np.add.reduceat(np.count_nonzero(wrong, axis=1), starts)
     return [(blocks * width, int(errs)) for (_, _, blocks), errs in zip(batches, errors)]
 
 
@@ -304,13 +320,14 @@ def _run_points(spec: SweepSpec, indices) -> list[BerRecord]:
         noise = NoiseSpec.from_config(spec.ebn0_db[ebn0_index], cfg)
         points.append(_Point(cfg, noise, RandomSource(spec.seed, index).generator()))
 
+    ws = _Workspace()
     active = points
     while active:
         step = [(p, min(_BATCH_PERIODS, cap - p.periods)) for p in active]
         for stack in _stacks(step):
             start = time.perf_counter()
             counts = _run_stack(stack[0][0].cfg, spec.decoder, params,
-                                [(p.noise, p.gen, blocks) for p, blocks in stack])
+                                [(p.noise, p.gen, blocks) for p, blocks in stack], ws)
             share = (time.perf_counter() - start) / sum(blocks for _, blocks in stack)
             for (p, blocks), (bits, errors) in zip(stack, counts):
                 p.periods += blocks

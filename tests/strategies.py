@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from sefdm import BPSK, QAM4, Alphabet, SefdmConfig
 
@@ -42,17 +43,29 @@ _EDGES = [0.0, -0.0]
 _EDGES += [float(x) for one in (1.0, -1.0) for x in (one, np.nextafter(one, 0), np.nextafter(one, 2 * one))]
 
 
+def slicer_parts(magnitudes=st.floats(min_value=0.0, allow_infinity=False)):
+    """Real slicer inputs: one of _EDGES, or a magnitude of either sign."""
+    signed = magnitudes.flatmap(lambda m: st.sampled_from([m, -m]))
+    return st.one_of(st.sampled_from(_EDGES), signed)
+
+
 def slicer_inputs(magnitudes=st.floats(min_value=0.0, allow_infinity=False)):
-    """Complex slicer inputs whose parts are one of _EDGES or a magnitude of
-    either sign; one draw in three lies on an axis, a signed zero in the
-    other part."""
-    part = st.one_of(st.sampled_from(_EDGES), magnitudes.flatmap(lambda m: st.sampled_from([m, -m])))
+    """Complex slicer inputs whose parts are slicer_parts; one draw in three
+    lies on an axis, a signed zero in the other part."""
+    part = slicer_parts(magnitudes)
     zero = st.sampled_from([0.0, -0.0])
     return st.one_of(
         st.builds(complex, part, part),
         st.builds(complex, part, zero),
         st.builds(complex, zero, part),
     )
+
+
+def estimate_batches(dtype=complex):
+    """(B, N) batches of soft estimates with B, N in 1..6: complex ones drawn
+    as slicer_inputs, real ones as slicer_parts."""
+    return arrays(dtype, array_shapes(min_dims=2, max_dims=2, max_side=6),
+                  elements=slicer_inputs() if dtype is complex else slicer_parts())
 
 
 def generic_twin(alphabet: Alphabet) -> Alphabet:

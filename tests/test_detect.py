@@ -35,7 +35,8 @@ from sefdm import (
     truncate,
 )
 from sefdm import detect
-from strategies import PSK8, configs, generic_twin, slicer_inputs
+from sefdm.core import _Workspace
+from strategies import PSK8, configs, estimate_batches, generic_twin, slicer_inputs
 
 
 # Alphabets without closed forms, for the generic paths: the real PAM4 and
@@ -368,6 +369,39 @@ class TestSlice:
         for bad in (np.nan, np.inf, complex(0.0, np.nan), [1 + 1j, complex(-np.inf, 0.0)]):
             with pytest.raises(DomainError):
                 slice_symbols(bad, QAM4)
+
+
+class TestDecideBits:
+    """detect._decide_bits, the harness's BPSK and QAM4 bit decisions from the
+    estimates' signs: the labels of slice_symbols' points, signed zeros and
+    ties included, from buffers that earlier decisions have used."""
+
+    CASES = [(BPSK, float), (BPSK, complex), (QAM4, complex)]  # stripe BPSK is real
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    @pytest.mark.parametrize("alphabet, dtype", CASES, ids=["bpsk-real", "bpsk", "qam4"])
+    def test_bits_of_the_sliced_symbols(self, alphabet, dtype, data):
+        est = data.draw(estimate_batches(dtype))
+        ws = _Workspace()
+        detect._decide_bits(np.full_like(est, -1 - 1j if dtype is complex else -1.0), alphabet, ws)
+        got = detect._decide_bits(est, alphabet, ws)
+        want = symbols_to_bits(slice_symbols(est, alphabet), alphabet)
+        assert got.dtype == bool and got.shape == want.shape
+        assert np.array_equal(got, want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), bad=st.sampled_from([np.nan, np.inf, -np.inf]))
+    @pytest.mark.parametrize("alphabet, dtype", CASES, ids=["bpsk-real", "bpsk", "qam4"])
+    def test_non_finite_estimates_rejected(self, alphabet, dtype, data, bad):
+        # One non-finite part anywhere, even an imaginary part BPSK ignores.
+        est = data.draw(estimate_batches(dtype))
+        parts = est.view(float).reshape(est.size, -1)  # one row of parts per estimate
+        parts[data.draw(st.integers(0, est.size - 1)), data.draw(st.integers(0, parts.shape[1] - 1))] = bad
+        with pytest.raises(DomainError):
+            slice_symbols(est, alphabet)
+        with pytest.raises(DomainError):
+            detect._decide_bits(est, alphabet, _Workspace())
 
 
 class TestStripeDecode:

@@ -5,6 +5,7 @@ import importlib.util
 import itertools
 import math
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ from sefdm import (
     Alphabet,
     CapacityError,
     DomainError,
+    NoiseSpec,
     RandomSource,
     SefdmConfig,
     StripeParams,
@@ -28,6 +30,7 @@ from sefdm import (
     theory_ebn0_db,
 )
 from sefdm import harness
+from sefdm.core import _Workspace
 from sefdm.harness import BerRecord, SweepSpec, ber_sweep
 from strategies import ALPHAS, least_samples
 
@@ -426,8 +429,10 @@ class TestLockstep:
 
     @pytest.mark.parametrize(
         "gate, decoder, calls",
+        # The stripe tail decides QAM4 bits itself: no slice_symbols or
+        # symbols_to_bits call.
         [("n16-m256", "stripe", {"bits_to_symbols": [256], "_stripe_batch": [256],
-                                 "slice_symbols": [256], "symbols_to_bits": [256]}),
+                                 "slice_symbols": [], "symbols_to_bits": []}),
          ("n16-m16", "ml", {"bits_to_symbols": [256, 256], "modulate_interleaved": [256, 256],
                             "add_awgn": [64] * 8, "ml_decode": [256, 256],
                             "symbols_to_bits": [256, 256]}),
@@ -457,6 +462,26 @@ class TestLockstep:
         spec = self._spec(gate, carriers=carriers, samples=samples, decoder=decoder, **sweep)
         ber_sweep(spec, workers=1)
         assert rows == calls
+
+    @pytest.mark.parametrize("alphabet", [BPSK, QAM4], ids=["bpsk", "qam4"])
+    def test_ofdm_stack_allocates_only_its_bits_and_symbols(self, alphabet):
+        # Once a workspace has served a stack, the next stack's channel,
+        # decisions and error count use its buffers: the traced peak is the
+        # sent bits and their symbols, and per-row counts. A (B, M) channel
+        # temporary would add 512 KB here, a (B, N) bool array 64 KB.
+        cfg = SefdmConfig(64, 64, 1, 1, alphabet)
+        batches = [(NoiseSpec.from_config(4.0, cfg), RandomSource(12).generator(), 1024)]
+        ws = _Workspace()
+        harness._run_stack(cfg, "ofdm", StripeParams(), batches, ws)
+        tracemalloc.start()
+        try:
+            harness._run_stack(cfg, "ofdm", StripeParams(), batches, ws)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        sent = 1024 * cfg.bits_per_block * np.dtype(np.int64).itemsize  # Generator.integers
+        symbols = 1024 * cfg.n_carriers * np.dtype(complex).itemsize
+        assert peak <= sent + symbols + 16 * 1024
 
     def test_wall_time_is_the_points_share_of_their_stack(self):
         # Four equal points share one stack: equal shares that add up to no
