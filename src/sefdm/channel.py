@@ -25,7 +25,8 @@ class NoiseSpec:
     level is constant across blocks. ebn0_db = +inf is the exact no-noise
     sentinel (sigma2 = 0); a bool or non-real Eb/N0, NaN and -inf are
     rejected, and so is a finite Eb/N0 whose linear value overflows (above
-    about 3082 dB) or whose sigma2 would. A sigma2 that is not finite and non-negative is rejected too.
+    about 3082 dB) or whose sigma2 would. A sigma2 that is not finite and
+    non-negative is rejected too.
     """
 
     ebn0_db: float
@@ -61,22 +62,24 @@ class NoiseSpec:
 def add_awgn(u, spec: NoiseSpec, rng) -> np.ndarray:
     """Add circularly symmetric complex Gaussian noise, variance sigma2 per sample.
 
-    ``rng`` is a RandomSource or a numpy Generator; the output is deterministic
-    given the generator state. The draws are part of the contract (see
-    `_noise_draws`): each part's normals are scaled by sqrt(sigma2 / 2) and
-    added; at sigma2 = 0 a copy of ``u`` is returned. The input is not
-    modified; a 0-d input gives a numpy complex scalar.
+    ``rng`` is a RandomSource or a numpy Generator (DomainError otherwise,
+    at sigma2 = 0 too); the output is deterministic given the generator
+    state. The draws are part of the contract (see `_noise_draws`): each
+    part's normals are scaled by sqrt(sigma2 / 2) and added; at sigma2 = 0 a
+    copy of ``u`` is returned. The input is not modified; a 0-d input gives
+    a numpy complex scalar.
     """
+    gen = _as_generator(rng)
     u = np.asarray(u, dtype=complex)
     out = u.copy()
     scale = math.sqrt(spec.sigma2 / 2.0)
-    for part, draw in zip((out.real, out.imag), _noise_draws(rng, spec.sigma2, np.empty(u.shape))):
+    for part, draw in zip((out.real, out.imag), _noise_draws(gen, spec.sigma2, np.empty(u.shape))):
         draw *= scale
         part += draw
     return out if out.ndim else out[()]
 
 
-def _noise_draws(rng, sigma2: float, out: np.ndarray):
+def _noise_draws(gen: np.random.Generator, sigma2: float, out: np.ndarray):
     """The noise draws of every channel in the Monte Carlo loop, into the
     caller's float buffer `out`, shaped as the samples: yields `out` holding
     the real parts' standard normals, then holding the imaginary parts'; at
@@ -85,7 +88,6 @@ def _noise_draws(rng, sigma2: float, out: np.ndarray):
     so that it draws the same normals in the same order."""
     if sigma2 == 0.0:
         return
-    gen = _as_generator(rng)
     for _ in range(2):
         gen.standard_normal(out=out)
         yield out

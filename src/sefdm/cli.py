@@ -242,15 +242,17 @@ def emit_plot(records: list[BerRecord], path) -> None:
         py = sy(10.0**decade)
         parts.append(f'<line x1="{x0 - 5}" y1="{py:.1f}" x2="{x0}" y2="{py:.1f}" stroke="black"/>')
         parts.append(
-            f'<text x="{x0 - 8}" y="{py + 4:.1f}" font-size="11" text-anchor="end">1e{decade}</text>'
+            f'<text x="{x0 - 8}" y="{py + 4:.1f}" font-size="11" '
+            f'text-anchor="end">1e{decade}</text>'
         )
     parts.append(
         f'<text x="{(_WIDTH + _MARGIN_L - _MARGIN_R) / 2:.0f}" y="{_HEIGHT - 12}" '
         f'font-size="13" text-anchor="middle">Eb/N0 (dB)</text>'
     )
+    mid = (_HEIGHT - _MARGIN_B + _MARGIN_T) / 2
     parts.append(
-        f'<text x="18" y="{(_HEIGHT - _MARGIN_B + _MARGIN_T) / 2:.0f}" font-size="13" '
-        f'text-anchor="middle" transform="rotate(-90 18 {(_HEIGHT - _MARGIN_B + _MARGIN_T) / 2:.0f})">BER</text>'
+        f'<text x="18" y="{mid:.0f}" font-size="13" '
+        f'text-anchor="middle" transform="rotate(-90 18 {mid:.0f})">BER</text>'
     )
 
     # theory reference

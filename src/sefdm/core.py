@@ -162,8 +162,11 @@ class RandomSource:
 
 
 def _as_generator(rng) -> np.random.Generator:
+    """A RandomSource's new generator, or a numpy Generator itself; DomainError otherwise."""
     if isinstance(rng, RandomSource):
         return rng.generator()
+    if not isinstance(rng, np.random.Generator):
+        raise DomainError(f"rng must be a RandomSource or a numpy Generator, got {rng!r}")
     return rng
 
 
@@ -182,6 +185,27 @@ class _Workspace:
         if buffer is None or buffer.dtype != dtype or buffer.size < size:
             buffer = self._buffers[name] = np.empty(size, dtype)
         return buffer[:size].reshape(shape)
+
+
+def _sign_bits(est: np.ndarray, alphabet: Alphabet, ws: _Workspace | None = None) -> np.ndarray:
+    """The labels of the nearest BPSK or QAM4 points to a (B, N) batch of
+    estimates, as a (B, N * bits_per_symbol) bool array from `ws`: the one
+    statement of the sign rule. A BPSK bit is Re < 0; a QAM4 symbol's bits
+    are (Im < 0, Re < 0), where a zero Re follows Im. So a tie goes to the
+    earlier point: 1 before -1, and 1+1j, -1+1j, -1-1j, 1-1j in ring order.
+    BPSK estimates may be real. Raises DomainError for non-finite estimates."""
+    ws = ws or _Workspace()
+    floats = est.view(float)
+    if not np.isfinite(floats, out=ws.take("mask", floats.shape, bool)).all():
+        raise DomainError("estimates must be finite")
+    bits = ws.take("decided", (len(est), est.shape[1] * alphabet.bits_per_symbol), bool)
+    if alphabet == BPSK:
+        return np.less(est.real, 0, out=bits)
+    first, second = bits[:, 0::2], bits[:, 1::2]
+    np.less(est.imag, 0, out=first)
+    np.less(est.real, 0, out=second)
+    np.copyto(second, first, where=np.equal(est.real, 0, out=ws.take("mask", est.shape, bool)))
+    return bits
 
 
 def bits_to_symbols(bits, alphabet: Alphabet) -> np.ndarray:
@@ -231,38 +255,21 @@ def _label_values(groups: np.ndarray) -> np.ndarray:
     return values
 
 
-def _labels_bpsk(f: np.ndarray) -> tuple[bool, np.ndarray]:
-    """(valid, bits) of an (L, 2) float view: valid iff |Re| == 1 and Im == 0,
-    and the bit is Re < 0."""
-    valid = ((np.abs(f[:, 0]) == 1) & (f[:, 1] == 0)).all()
-    return valid, (f[:, :1] < 0).astype(np.intp)
-
-
-def _labels_qam4(f: np.ndarray) -> tuple[bool, np.ndarray]:
-    """(valid, bits) of an (L, 2) float view: valid iff |Re| == |Im| == 1, and
-    the Gray ring's bits are (Im < 0, Re < 0)."""
-    # The check's temporaries are freed before the labels are allocated, so
-    # that malloc can hand the labels their pages back.
-    valid = (np.abs(f) == 1).all()
-    neg = f < 0
-    bits = np.empty(f.shape, dtype=np.intp)
-    bits[:, 0], bits[:, 1] = neg[:, 1], neg[:, 0]
-    return valid, bits
-
-
-_LABELS = {BPSK: _labels_bpsk, QAM4: _labels_qam4}  # closed forms; a point search for the rest
-
-
 def symbols_to_bits(symbols, alphabet: Alphabet) -> np.ndarray:
     """Map exact constellation symbols back to their bit labels.
 
-    BPSK and QAM4 read the labels off the signs of the parts; other alphabets
-    search their points. Raises DomainError for values that are not alphabet
-    points; slice first.
+    BPSK and QAM4 check that each part is +-1 (Im = 0 for BPSK) and read the
+    labels off the signs (`_sign_bits`); other alphabets search their
+    points. Raises DomainError for values that are not alphabet points;
+    slice first.
     """
     symbols = np.asarray(symbols, dtype=complex)
-    closed = _LABELS.get(alphabet)
-    if closed is None:
+    if alphabet in (BPSK, QAM4):
+        flat = np.ascontiguousarray(symbols).reshape(1, -1)  # _sign_bits takes (B, N)
+        im = 1 if alphabet == QAM4 else 0
+        valid = ((np.abs(flat.real) == 1) & (np.abs(flat.imag) == im)).all()
+        labels = lambda: _sign_bits(flat, alphabet).astype(np.intp)
+    else:
         # One comparison per point; the points are distinct, so each symbol
         # matches at most one and the index sum picks it out.
         index = np.zeros(symbols.shape, dtype=np.intp)
@@ -271,10 +278,8 @@ def symbols_to_bits(symbols, alphabet: Alphabet) -> np.ndarray:
             match = symbols == point
             found |= match
             index += i * match
-        valid, bits = found.all(), np.asarray(alphabet.labels, dtype=np.intp)[index]
-    else:
-        valid, bits = closed(np.ascontiguousarray(symbols).reshape(-1).view(float).reshape(-1, 2))
+        valid, labels = found.all(), lambda: np.asarray(alphabet.labels, dtype=np.intp)[index]
     if not valid:
         raise DomainError("symbol vector contains values outside the alphabet")
     length = math.prod(symbols.shape[-1:]) * alphabet.bits_per_symbol
-    return bits.reshape(symbols.shape[:-1] + (length,))
+    return labels().reshape(symbols.shape[:-1] + (length,))

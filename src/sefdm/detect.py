@@ -16,8 +16,7 @@ stripe decoder and the OFDM baseline it computes y straight from the symbols
 and add_awgn's own noise draws, which every channel takes from
 `channel._noise_draws` (`_matched_channel`, `_ofdm_channel`). The OFDM
 channel draws, transforms and writes y in buffers that the harness's stacks
-reuse, and the harness decides BPSK and QAM4 bits straight from the
-estimates' signs (`_decide_bits`), as slice_symbols and symbols_to_bits would.
+reuse.
 
 The stripe decoder treats the SEFDM signal as c interleaved OFDM systems.
 Branch k carries the carrier group K = {k, k + c, k + 2c, ...}, whose carriers
@@ -39,7 +38,8 @@ N reals: the weights are Re(-G[:, K]), the even rows and columns of the
 embedding, and y_K is Re y[:, k::c]. A complex alphabet needs equal real and
 imaginary ranges (DomainError otherwise). BPSK and QAM4 are pulled in closed
 form (`_pull_bpsk`, `_pull_qam4`), every other alphabet by the public
-`gravity`, and the hard slicer decides BPSK and QAM4 in closed form too.
+`gravity`. The hard slicer decides BPSK and QAM4 by the sign rule of
+`core._sign_bits`, which the harness applies to every decoder's output.
 
 The ML decoder minimises s G s^H - 2 Re(y . conj(s)) over every candidate
 symbol vector, in one loop that builds, scores and drops one chunk of
@@ -65,7 +65,9 @@ from .core import (
     DomainError,
     SefdmConfig,
     _check_int,
+    _sign_bits,
     _Workspace,
+    bits_to_symbols,
 )
 from .txmod import _read_only, carrier_matrix
 
@@ -174,51 +176,24 @@ def truncate(est, alphabet: Alphabet):
     return complex(out) if np.isscalar(est) or e.ndim == 0 else out
 
 
-def _signs(f: np.ndarray) -> np.ndarray:
-    """-1.0 where an entry is negative, +1.0 elsewhere, -0.0 included."""
-    out = (f < 0).astype(float)  # a bool cast and two in-place ops: no branchy np.where
-    out *= -2
-    out += 1
-    return out
-
-
-def _slice_bpsk(f: np.ndarray) -> np.ndarray:
-    """Nearest of +-1 on an (L, 2) float view: +1 iff Re >= 0, with a +0.0
-    imaginary part."""
-    out = _signs(f)
-    out[:, 1] = 0
-    return out
-
-
-def _slice_qam4(f: np.ndarray) -> np.ndarray:
-    """Nearest of +-1+-1j on an (L, 2) float view. Each part's sign decides,
-    and a zero part ties. The ring order breaks ties: Im -> +1, since 1+1j and
-    -1+1j come first; Re follows Im, since 1+1j precedes -1+1j and -1-1j
-    precedes 1-1j."""
-    out = _signs(f)
-    np.copyto(out[:, 0], out[:, 1], where=f[:, 0] == 0)
-    return out
-
-
-_SLICES = {BPSK: _slice_bpsk, QAM4: _slice_qam4}  # closed forms; distances for the rest
-
-
 def slice_symbols(est, alphabet: Alphabet):
     """Hard decision to the nearest constellation point.
 
-    Ties break toward the lowest point index. BPSK and QAM4 decide in closed
-    form by the signs of the parts: the nearest point in exact arithmetic.
-    Every other alphabet compares float distances, where argmin keeps the
-    first minimum; these can tie through rounding where exact distances do
-    not (for QAM4 they would take -1e-300 to 1+1j, where the nearest point is
-    -1+1j), but do not overflow for any finite estimate. Raises DomainError
-    for non-finite estimates.
+    Ties break toward the lowest point index. BPSK and QAM4 decide by the
+    signs of the parts (`core._sign_bits`): the nearest point in exact
+    arithmetic. Every other alphabet compares float distances, where argmin
+    keeps the first minimum; these can tie through rounding where exact
+    distances do not (for QAM4 they would take -1e-300 to 1+1j, where the
+    nearest point is -1+1j), but do not overflow for any finite estimate.
+    Raises DomainError for non-finite estimates.
     """
     e = np.asarray(est, dtype=complex)
     if not np.isfinite(e).all():
         raise DomainError("estimates must be finite")
-    closed = _SLICES.get(alphabet)
-    if closed is None:
+    if alphabet in (BPSK, QAM4):
+        bits = _sign_bits(np.ascontiguousarray(e).reshape(1, -1), alphabet)
+        out = bits_to_symbols(bits, alphabet).reshape(e.shape)
+    else:
         points = alphabet.points_array()
         # |e - p|^2 less the common |e|^2, |p|^2 - 2 Re(e conj p): e - p
         # would round far points together (-1e200 - 3 == -1e200 + 3). Scaled
@@ -227,11 +202,9 @@ def slice_symbols(est, alphabet: Alphabet):
         _, exponent = np.frexp(np.maximum(abs(e.real), abs(e.imag)))
         scale = np.ldexp(1.0, -np.maximum(exponent, 0))[..., None]
         re, im = e.real[..., None] * scale, e.imag[..., None] * scale
-        metric = scale * (points.real**2 + points.imag**2) - 2 * (re * points.real + im * points.imag)
+        metric = scale * (points.real**2 + points.imag**2)
+        metric -= 2 * (re * points.real + im * points.imag)
         out = points[metric.argmin(axis=-1)]
-    else:
-        f = np.ascontiguousarray(e).reshape(-1).view(float).reshape(-1, 2)
-        out = closed(f).view(complex).reshape(e.shape)
     return complex(out) if np.isscalar(est) or e.ndim == 0 else out
 
 
@@ -326,25 +299,6 @@ def _ofdm_channel(symbols: np.ndarray, cfg: SefdmConfig, sigma2: float, gen,
     np.multiply(noise[:, : cfg.n_carriers], math.sqrt(sigma2 / 2.0) / cfg.n_samples, out=out)
     out += symbols
     return out
-
-
-def _decide_bits(est: np.ndarray, alphabet: Alphabet, ws: _Workspace) -> np.ndarray:
-    """symbols_to_bits(slice_symbols(est)) of a (B, N) batch of BPSK or QAM4
-    estimates, as a bool array from `ws`, straight from the signs: a BPSK
-    bit is Re < 0, and a QAM4 symbol's bits are (Im < 0, Re < 0), where a
-    zero Re follows Im (see _slice_qam4). BPSK estimates may be real.
-    Raises DomainError for non-finite estimates, as slice_symbols does."""
-    floats = est.view(float)
-    if not np.isfinite(floats, out=ws.take("mask", floats.shape, bool)).all():
-        raise DomainError("estimates must be finite")
-    bits = ws.take("decided", (len(est), est.shape[1] * alphabet.bits_per_symbol), bool)
-    if alphabet == BPSK:
-        return np.less(est.real, 0, out=bits)
-    first, second = bits[:, 0::2], bits[:, 1::2]
-    np.less(est.imag, 0, out=first)
-    np.less(est.real, 0, out=second)
-    np.copyto(second, first, where=np.equal(est.real, 0, out=ws.take("mask", est.shape, bool)))
-    return bits
 
 
 def _matched_outputs(r, cfg: SefdmConfig) -> tuple[np.ndarray, tuple[int, ...]]:

@@ -37,6 +37,7 @@ from .core import (
     SefdmConfig,
     _as_generator,
     _check_int,
+    _sign_bits,
     _Workspace,
     bits_to_symbols,
     get_alphabet,
@@ -44,7 +45,6 @@ from .core import (
 )
 from .detect import (
     StripeParams,
-    _decide_bits,
     _is_real,
     _matched_channel,
     _ofdm_channel,
@@ -262,11 +262,11 @@ def _run_stack(cfg: SefdmConfig, decoder: str, params: StripeParams, batches, ws
         estimates = lambda: _stripe_batch(per_batch(channel, symbols()), cfg, params)
     elif decoder == "ofdm":
         estimates = lambda: ofdm(symbols())
-    if decoder == "ml":
-        decoded = ml_decode(per_batch(add_awgn, modulate_interleaved(symbols(), cfg)), cfg)
-        wrong = symbols_to_bits(decoded, cfg.alphabet) != bits
-    elif cfg.alphabet in (BPSK, QAM4):
-        decided = _decide_bits(estimates(), cfg.alphabet, ws)
+    else:  # ML's hard symbols are its estimates
+        samples = lambda: per_batch(add_awgn, modulate_interleaved(symbols(), cfg))
+        estimates = lambda: ml_decode(samples(), cfg)
+    if cfg.alphabet in (BPSK, QAM4):
+        decided = _sign_bits(estimates(), cfg.alphabet, ws)
         wrong = np.not_equal(decided, bits, out=decided)
     else:
         wrong = symbols_to_bits(slice_symbols(estimates(), cfg.alphabet), cfg.alphabet) != bits

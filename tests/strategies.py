@@ -69,7 +69,7 @@ def estimate_batches(dtype=complex):
 
 
 def generic_twin(alphabet: Alphabet) -> Alphabet:
-    """The alphabet under another name: equal points and labels, but not a key
-    of the closed-form tables, so slice_symbols and symbols_to_bits take their
-    generic paths."""
+    """The alphabet under another name: equal points and labels, but not equal
+    to BPSK or QAM4, so slice_symbols and symbols_to_bits take their generic
+    paths instead of the sign rule."""
     return Alphabet(alphabet.name + "-generic", alphabet.points, alphabet.labels)

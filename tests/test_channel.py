@@ -169,6 +169,20 @@ class TestAwgn:
         lo, hi = confidence_interval(errors, bits)
         assert lo <= theoretical_ber(4.0, QAM4) <= hi
 
+    @pytest.mark.parametrize(
+        "rng", [5, None, "junk", np.random.RandomState(0), np.random.Philox(0)],
+        ids=["int", "none", "str", "random-state", "bit-generator"],
+    )
+    def test_rng_that_is_not_a_generator_rejected(self, rng):
+        # run_block died with an AttributeError inside the draws, and add_awgn
+        # without noise returned a copy whatever its rng.
+        cfg = SefdmConfig(8, 8, 1, 1, QAM4)
+        for ebn0_db in (5.0, math.inf):
+            with pytest.raises(DomainError, match="rng"):
+                add_awgn(np.ones(8, complex), NoiseSpec.from_config(ebn0_db, cfg), rng)
+            with pytest.raises(DomainError, match="rng"):
+                run_block(cfg, ebn0_db, "ofdm", rng)
+
 
 class TestInterference:
     def test_orthogonal_alpha_vanishes(self):

@@ -35,7 +35,7 @@ from sefdm import (
     truncate,
 )
 from sefdm import detect
-from sefdm.core import _Workspace
+from sefdm.core import _sign_bits, _Workspace
 from strategies import PSK8, configs, estimate_batches, generic_twin, slicer_inputs
 
 
@@ -371,10 +371,22 @@ class TestSlice:
                 slice_symbols(bad, QAM4)
 
 
+def _exact_labels(est, alphabet):
+    """The labels of the nearest points to a (B, N) batch of estimates in
+    exact arithmetic, the first of equal points, as a (B, N * bits) bool array."""
+    def label(z):
+        x, y = Fraction(z.real), Fraction(z.imag)
+        d2 = [(x - Fraction(p.real)) ** 2 + (y - Fraction(p.imag)) ** 2 for p in alphabet.points]
+        return alphabet.labels[d2.index(min(d2))]
+
+    return np.array([[bit for z in row for bit in label(z)] for row in est], dtype=bool)
+
+
 class TestDecideBits:
-    """detect._decide_bits, the harness's BPSK and QAM4 bit decisions from the
-    estimates' signs: the labels of slice_symbols' points, signed zeros and
-    ties included, from buffers that earlier decisions have used."""
+    """core._sign_bits, the sign rule behind the slicer, symbols_to_bits and
+    the harness's BPSK and QAM4 bit decisions: the labels of the exact
+    nearest points, signed zeros and ties included, from buffers that earlier
+    decisions have used."""
 
     CASES = [(BPSK, float), (BPSK, complex), (QAM4, complex)]  # stripe BPSK is real
 
@@ -384,11 +396,12 @@ class TestDecideBits:
     def test_bits_of_the_sliced_symbols(self, alphabet, dtype, data):
         est = data.draw(estimate_batches(dtype))
         ws = _Workspace()
-        detect._decide_bits(np.full_like(est, -1 - 1j if dtype is complex else -1.0), alphabet, ws)
-        got = detect._decide_bits(est, alphabet, ws)
-        want = symbols_to_bits(slice_symbols(est, alphabet), alphabet)
+        _sign_bits(np.full_like(est, -1 - 1j if dtype is complex else -1.0), alphabet, ws)
+        got = _sign_bits(est, alphabet, ws)
+        want = _exact_labels(est, alphabet)
         assert got.dtype == bool and got.shape == want.shape
         assert np.array_equal(got, want)
+        assert np.array_equal(_sign_bits(est, alphabet), want)  # a workspace of its own
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data(), bad=st.sampled_from([np.nan, np.inf, -np.inf]))
@@ -401,7 +414,7 @@ class TestDecideBits:
         with pytest.raises(DomainError):
             slice_symbols(est, alphabet)
         with pytest.raises(DomainError):
-            detect._decide_bits(est, alphabet, _Workspace())
+            _sign_bits(est, alphabet, _Workspace())
 
 
 class TestStripeDecode:
@@ -694,7 +707,7 @@ class TestMatchedChannel:
             s = bits_to_symbols(RandomSource(76).generator().integers(0, 2, size=(8, cfg.bits_per_block)),
                                 alphabet)
             y = detect._matched_channel(s, cfg, 0.0, _NoDraws())
-            want = self._chain(s, cfg, math.inf, _NoDraws())
+            want = self._chain(s, cfg, math.inf, RandomSource(0))  # add_awgn checks its rng
             assert np.max(np.abs(y - want)) <= 1e-12
 
     @pytest.mark.parametrize("alphabet", [QAM4, BPSK])
@@ -776,7 +789,7 @@ class TestOfdmChannel:
             s = bits_to_symbols(RandomSource(83).generator().integers(0, 2, size=(8, cfg.bits_per_block)),
                                 alphabet)
             y = detect._ofdm_channel(s, cfg, 0.0, _NoDraws())
-            want = self._chain(s, cfg, math.inf, _NoDraws())
+            want = self._chain(s, cfg, math.inf, RandomSource(0))  # add_awgn checks its rng
             assert np.max(np.abs(y - want)) <= 1e-12
             assert np.array_equal(y, s) and not np.shares_memory(y, s)
 

@@ -23,9 +23,14 @@ from sefdm import (
     RandomSource,
     SefdmConfig,
     StripeParams,
+    add_awgn,
+    bits_to_symbols,
     confidence_interval,
     db_penalty,
+    ml_decode,
+    modulate_interleaved,
     run_block,
+    symbols_to_bits,
     theoretical_ber,
     theory_ebn0_db,
 )
@@ -184,6 +189,23 @@ class TestRunBlock:
         )
         ber_sweep(spec)
         assert seen == [20, 3, 7]
+
+    @pytest.mark.parametrize("alphabet", [BPSK, QAM4], ids=["bpsk", "qam4"])
+    def test_ml_counts_are_the_labels_of_its_symbols(self, alphabet):
+        # ML's tail decides its hard symbols by the sign rule: the counts are
+        # those of symbols_to_bits(ml_decode(r)), from the same streams.
+        cfg = SefdmConfig(4, 16, 3, 4, alphabet)
+        noises = [NoiseSpec.from_config(ebn0_db, cfg) for ebn0_db in (0.0, 6.0)]
+        sources = [RandomSource(64, i) for i in range(len(noises))]
+        batches = [(noise, source.generator(), 96) for noise, source in zip(noises, sources)]
+        counts = harness._run_stack(cfg, "ml", StripeParams(), batches, _Workspace())
+        for (noise, _, blocks), source, (sent, errors) in zip(batches, sources, counts):
+            gen = source.generator()
+            bits = gen.integers(0, 2, size=(blocks, cfg.bits_per_block))
+            r = add_awgn(modulate_interleaved(bits_to_symbols(bits, alphabet), cfg), noise, gen)
+            decided = symbols_to_bits(ml_decode(r, cfg), alphabet)
+            assert (sent, errors) == (bits.size, np.count_nonzero(decided != bits))
+        assert counts[0][1] > counts[1][1] > 0
 
     def test_keeps_every_name_the_tracer_wraps(self):
         # The benchmark's tracer looks up each name of HARNESS_CALLS on the
@@ -429,13 +451,13 @@ class TestLockstep:
 
     @pytest.mark.parametrize(
         "gate, decoder, calls",
-        # The stripe tail decides QAM4 bits itself: no slice_symbols or
+        # Every tail decides QAM4 bits by the sign rule: no slice_symbols or
         # symbols_to_bits call.
         [("n16-m256", "stripe", {"bits_to_symbols": [256], "_stripe_batch": [256],
                                  "slice_symbols": [], "symbols_to_bits": []}),
          ("n16-m16", "ml", {"bits_to_symbols": [256, 256], "modulate_interleaved": [256, 256],
                             "add_awgn": [64] * 8, "ml_decode": [256, 256],
-                            "symbols_to_bits": [256, 256]}),
+                            "symbols_to_bits": []}),
          # 16 N bytes of state per QAM4 row: 512 rows fit the bound, 768 do not.
          ("n16-m16", "stripe", {"bits_to_symbols": [512, 512, 256],
                                 "_stripe_batch": [512, 512, 256]}),
