@@ -16,6 +16,14 @@ import numpy as np
 from .core import DomainError, SefdmConfig, _as_generator
 
 
+def _check_ebn0(ebn0_db) -> None:
+    """An Eb/N0 in dB is a real number other than a bool, finite or +inf."""
+    if isinstance(ebn0_db, bool) or not isinstance(ebn0_db, numbers.Real):
+        raise DomainError(f"Eb/N0 must be a real number, got {ebn0_db!r}")
+    if math.isnan(ebn0_db) or ebn0_db == -math.inf:
+        raise DomainError(f"Eb/N0 must be finite or +inf, got {ebn0_db}")
+
+
 @dataclass(frozen=True)
 class NoiseSpec:
     """Total complex noise variance per sample for a given Eb/N0.
@@ -41,10 +49,7 @@ class NoiseSpec:
 
     @classmethod
     def from_config(cls, ebn0_db: float, cfg: SefdmConfig) -> "NoiseSpec":
-        if isinstance(ebn0_db, bool) or not isinstance(ebn0_db, numbers.Real):
-            raise DomainError(f"Eb/N0 must be a real number, got {ebn0_db!r}")
-        if math.isnan(ebn0_db) or ebn0_db == -math.inf:
-            raise DomainError(f"Eb/N0 must be finite or +inf, got {ebn0_db}")
+        _check_ebn0(ebn0_db)
         if ebn0_db == math.inf:
             return cls(ebn0_db, 0.0)
         eb = cfg.n_samples * cfg.alphabet.energy / cfg.alphabet.bits_per_symbol

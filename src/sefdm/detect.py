@@ -14,9 +14,10 @@ Who builds y: the public decoders take M samples r and compute y = r C^H / M
 (`_matched_outputs`); the Monte Carlo harness does so for ML only. For the
 stripe decoder and the OFDM baseline it computes y straight from the symbols
 and add_awgn's own noise draws, which every channel takes from
-`channel._noise_draws` (`_matched_channel`, `_ofdm_channel`). The OFDM
-channel draws, transforms and writes y in buffers that the harness's stacks
-reuse.
+`channel._noise_draws`. Both channels (`_matched_channel`, `_ofdm_channel`)
+write a batch's y into the caller's `out`, the float Re y for a real
+alphabet and complex y otherwise, and draw and project the noise in buffers
+from a workspace that the harness's stacks reuse.
 
 The stripe decoder treats the SEFDM signal as c interleaved OFDM systems.
 Branch k carries the carrier group K = {k, k + c, k + 2c, ...}, whose carriers
@@ -223,81 +224,83 @@ def _matched_filter(cfg: SefdmConfig) -> _MatchedFilter:
     matrix = carrier_matrix(cfg)
     matched = _read_only(np.ascontiguousarray(matrix.conj().T) / cfg.n_samples)
     gram = _read_only(matrix @ matched)
-    c, real = cfg.alpha_den, _is_real(cfg.alphabet)
+    c = cfg.alpha_den
     # A real noise draw n maps to the float view of n @ matched through the
     # float view of matched, and to that of 1j n @ matched through the float
-    # view of 1j matched: [-Im, Re] pairs. A real alphabet keeps the Re columns.
-    signal, noise = gram, (matched.view(float), (1j * matched).view(float))
-    if real:
-        signal, noise = gram.real.copy(), tuple(part[:, 0::2].copy() for part in noise)
-    weights = []
+    # view of 1j matched: [-Im, Re] pairs.
+    signal, noise, weights = gram, [matched.view(float), (1j * matched).view(float)], []
     for k in range(c):
         # G'[:, K]: rows of K zeroed, so that y_K - s @ G'[:, K] cancels every
         # other branch. With s = a + ib and -G' = P + iQ, the float view
         # [a_0, b_0, a_1, ...] times [[P, Q], [-Q, P]], interleaved, is the
-        # interleaved -s @ G'[:, K]; a real alphabet needs only P.
+        # interleaved -s @ G'[:, K].
         others = -gram[:, k::c]
         others[k::c] = 0
-        if real:
-            weights.append(_read_only(others.real.copy()))
-            continue
         embedded = np.empty((2 * cfg.n_carriers, 2 * others.shape[1]))
         embedded[0::2, 0::2] = others.real
         embedded[0::2, 1::2] = others.imag
         embedded[1::2, 0::2] = -others.imag
         embedded[1::2, 1::2] = others.real
-        weights.append(_read_only(embedded))
-    noise = tuple(_read_only(part) for part in noise)
-    return _MatchedFilter(matched, gram, tuple(weights), _read_only(signal), noise)
+        weights.append(embedded)
+    if _is_real(cfg.alphabet):  # the real parts' rows and columns of the float views
+        signal, noise = gram.real, [part[:, 0::2] for part in noise]
+        weights = [w[0::2, 0::2] for w in weights]
+    noise = tuple(_read_only(np.ascontiguousarray(part)) for part in noise)
+    weights = tuple(_read_only(np.ascontiguousarray(w)) for w in weights)
+    return _MatchedFilter(matched, gram, weights, _read_only(np.ascontiguousarray(signal)), noise)
 
 
-def _matched_channel(symbols: np.ndarray, cfg: SefdmConfig, sigma2: float, gen) -> np.ndarray:
+def _matched_channel(symbols: np.ndarray, cfg: SefdmConfig, sigma2: float, gen,
+                     out: np.ndarray, ws: _Workspace) -> np.ndarray:
     """Matched-filter outputs of a (B, N) symbol batch sent through add_awgn,
-    without the M samples: y = s G + (sigma n) C^H / M.
+    without the M samples: y = s G + (sigma n) C^H / M, into `out`.
 
     sigma n is add_awgn's noise on the (B, M) samples. Each draw is projected
     onto the float view of y by one real product with its (M, 2N) noise map,
-    and the (B, 2N) sum is scaled by sqrt(sigma2 / 2). Returns
-    complex y; for a real alphabet, the float Re y, which is all the stripe
-    decoder reads, from the (N, N) Re G and the Re columns of the maps.
+    and the (B, 2N) sum is scaled by sqrt(sigma2 / 2). A real alphabet's
+    Re y, all the stripe decoder reads, takes the (N, N) Re G and the Re
+    columns of the maps.
     """
     front = _matched_filter(cfg)
-    y = (symbols.real if _is_real(cfg.alphabet) else symbols) @ front.signal
-    draws = _noise_draws(gen, sigma2, np.empty((len(y), cfg.n_samples)))
-    parts = [draw @ noise_map for draw, noise_map in zip(draws, front.noise)]
-    if parts:  # none at sigma2 = 0
-        noise, imaginary = parts
-        noise += imaginary
-        noise *= math.sqrt(sigma2 / 2.0)
-        y_float = y.view(float)
-        y_float += noise
-    return y
+    np.matmul(symbols.real if _is_real(cfg.alphabet) else symbols, front.signal, out=out)
+    if sigma2 == 0.0:
+        return out
+    draws = _noise_draws(gen, sigma2, ws.take("draw", (len(symbols), cfg.n_samples)))
+    products = ws.take("products", (2,) + out.view(float).shape)
+    for draw, noise_map, product in zip(draws, front.noise, products):
+        np.matmul(draw, noise_map, out=product)
+    noise, imaginary = products
+    noise += imaginary
+    noise *= math.sqrt(sigma2 / 2.0)
+    y_float = out.view(float)
+    y_float += noise
+    return out
 
 
 def _ofdm_channel(symbols: np.ndarray, cfg: SefdmConfig, sigma2: float, gen,
-                  out: np.ndarray | None = None, ws: _Workspace | None = None) -> np.ndarray:
+                  out: np.ndarray, ws: _Workspace) -> np.ndarray:
     """Matched-filter outputs of a (B, N) symbol batch at alpha = 1 sent
-    through add_awgn, without the M samples: y = s + DFT(sigma n)[:N] / M.
+    through add_awgn, without the M samples: y = s + DFT(sigma n)[:N] / M,
+    into `out`.
 
     At alpha = 1 the carriers are the first N bins of the M-point DFT, so
     G = I, and add_awgn's noise sigma n on the (B, M) samples enters y
-    through one in-place FFT. The draws and the noise use buffers from `ws`;
-    complex y is written into `out` for every alphabet, where given.
+    through one in-place FFT.
     """
-    if out is None:
-        out = np.empty(symbols.shape, complex)
+    real = _is_real(cfg.alphabet)
+    sent = symbols.real if real else symbols
     if sigma2 == 0.0:
-        np.copyto(out, symbols)
+        np.copyto(out, sent)
         return out
-    ws = ws or _Workspace()
     shape = (len(symbols), cfg.n_samples)
     noise = ws.take("noise", shape, complex)
     draws = _noise_draws(gen, sigma2, ws.take("draw", shape))
     for part, draw in zip((noise.real, noise.imag), draws):
         np.copyto(part, draw)
     np.fft.fft(noise, out=noise)
-    np.multiply(noise[:, : cfg.n_carriers], math.sqrt(sigma2 / 2.0) / cfg.n_samples, out=out)
-    out += symbols
+    received = (noise.real if real else noise)[:, : cfg.n_carriers]
+    np.multiply(received, math.sqrt(sigma2 / 2.0) / cfg.n_samples, out=out)
+    out += sent
     return out
 
 
@@ -339,7 +342,7 @@ def _stripe_batch(y: np.ndarray, cfg: SefdmConfig, params: StripeParams) -> np.n
     """Run J sweeps over a (B, N) batch of matched-filter outputs; returns
     (B, N) soft estimates, real for a real alphabet and complex otherwise.
     A real alphabet reads Re y only, so y may be given as those floats. Only
-    `gravity` allocates within a sweep; y is dropped once copied per branch."""
+    `gravity` allocates within a sweep; y is read once, into per-branch copies."""
     total_iter, alphabet = params.iterations, cfg.alphabet
     lo, hi, im_lo, im_hi = alphabet.bounding_box
     real = _is_real(alphabet)
@@ -347,7 +350,6 @@ def _stripe_batch(y: np.ndarray, cfg: SefdmConfig, params: StripeParams) -> np.n
         raise DomainError(f"{alphabet.name!r}: stripe needs equal real and imaginary ranges")
     lo, hi = np.array(lo), np.array(hi)  # 0-d: a ufunc converts a Python float on every call
     front, rows, c = (y.real if real else y), len(y), cfg.alpha_den
-    del y
     # Whole tiles, padded with zero rows: see _ROW_TILE.
     s_hat = np.zeros((rows + -rows % _ROW_TILE, cfg.n_carriers), front.dtype)
     s_float = s_hat.view(float)
@@ -360,7 +362,6 @@ def _stripe_batch(y: np.ndarray, cfg: SefdmConfig, params: StripeParams) -> np.n
         y_k = np.zeros_like(s_hat[:, k::c])
         y_k[:rows] = front[:, k::c]
         sweep.append((y_k.view(float), s_hat[:, k::c], w, est[w.shape[1]]))
-    del front
     pulled = np.empty_like(s_hat)
     if alphabet == BPSK:
         pull = lambda: _pull_bpsk(s_hat, pulled)

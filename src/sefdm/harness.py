@@ -10,7 +10,7 @@ of its own). Every step after the channel works row by row, so a point's
 results are bit-identical however its batches are stacked and however the
 points are split across workers. A record's wall_time_s is its point's share, by
 blocks, of the times of the stacks it was decoded in. A run's stacks share
-one workspace, which holds the OFDM channel's buffers and the bit decisions
+one workspace, which holds y, the channels' buffers and the bit decisions
 so that their pages stay mapped from stack to stack; every array taken from
 it is written before it is read, so no stack sees another's data.
 """
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import NoiseSpec, add_awgn
+from .channel import NoiseSpec, _check_ebn0, add_awgn
 from .core import (
     BPSK,
     QAM4,
@@ -156,11 +156,13 @@ def theoretical_ber(ebn0_db: float, alphabet: Alphabet) -> float:
     """Matched-filter OFDM reference, Q(sqrt(2*Eb/N0)) = math.erfc(sqrt(Eb/N0)) / 2.
 
     Holds for BPSK and for Gray-coded 4-QAM (per-bit error equal at equal
-    Eb/N0); other alphabets are rejected.
+    Eb/N0); other alphabets, and a bool, non-real, NaN or -inf Eb/N0, are
+    rejected.
     """
     if alphabet not in (BPSK, QAM4):
         raise DomainError(f"no closed-form reference for alphabet {alphabet.name!r}")
-    if math.isinf(ebn0_db) and ebn0_db > 0:
+    _check_ebn0(ebn0_db)
+    if ebn0_db == math.inf:
         return 0.0
     try:
         rho = 10.0 ** (ebn0_db / 10.0)
@@ -180,6 +182,8 @@ def theory_ebn0_db(target_ber: float) -> float:
 
 def confidence_interval(errors: int, bits: int) -> tuple[float, float]:
     """95% binomial interval: normal approximation, rule of three at zero errors."""
+    _check_int("errors", errors)
+    _check_int("bits", bits)
     if bits < 1 or not 0 <= errors <= bits:
         raise DomainError("need bits >= 1 and 0 <= errors <= bits")
     if errors == 0:
@@ -205,11 +209,12 @@ def run_block(
 
     Pipeline: random bits -> symbols -> interleaved modulation -> AWGN ->
     decode -> bits; deterministic given the rng stream. The stripe decoder
-    and the OFDM baseline take their matched-filter outputs straight from
-    the symbols and add_awgn's draws (see sefdm.detect); ML decodes the M
-    samples. `params` sets the stripe decoder's iteration count. The
-    decoder must pass the rules SweepSpec checks: a known name, alpha = 1 for
-    ofdm, the ML guard for ml. `blocks` must be a positive integer.
+    and the OFDM baseline read y, which their channels write into a
+    workspace straight from the symbols and add_awgn's draws (see
+    sefdm.detect); ML decodes the M samples. `params` sets the stripe
+    decoder's iteration count. The decoder must pass the rules SweepSpec
+    checks: a known name, alpha = 1 for ofdm, the ML guard for ml. `blocks`
+    must be a positive integer.
     """
     _check_int("blocks", blocks)
     if blocks < 1:
@@ -231,45 +236,36 @@ def _run_stack(cfg: SefdmConfig, decoder: str, params: StripeParams, batches, ws
 
     `batches` holds (NoiseSpec, generator, blocks) triples, each with its own
     generator. Each batch draws its bits, then its noise, from its generator
-    as it would alone, and its channel sees only its own rows. Bit mapping,
-    the receiver and the bit decisions then take the stacked rows in one
-    call each; bit errors are counted per row and summed per batch. The OFDM
-    channel's buffers, its y and the BPSK and QAM4 bit decisions come from
+    as it would alone, and its channel writes only its own rows. Bit
+    mapping, the receiver and the bit decisions then take the stacked rows
+    in one call each; bit errors are counted per row and summed per batch.
+    y, the channels' buffers and the BPSK and QAM4 bit decisions come from
     `ws`; every other array of the stack is freed on return.
     """
     width = cfg.n_carriers * cfg.alphabet.bits_per_symbol
     starts = np.cumsum([0] + [blocks for _, _, blocks in batches[:-1]])
     parts = [(noise, gen, slice(start, start + blocks))
              for (noise, gen, blocks), start in zip(batches, starts)]
-
-    def per_batch(channel, stack):
-        return _stacked([channel(stack[rows], noise, gen) for noise, gen, rows in parts])
-
-    def ofdm(stack):  # each batch writes its own rows of one reused y
-        y = ws.take("y", stack.shape, complex)
-        for noise, gen, rows in parts:
-            _ofdm_channel(stack[rows], cfg, noise.sigma2, gen, y[rows], ws)
-        return y
-
     bits = _stacked([gen.integers(0, 2, size=(blocks, width)) for _, gen, blocks in batches])
-    # The symbols, the stripe decoder's y and the soft estimates are made as
-    # call arguments, never bound to a name here: a Python callee owns its
-    # arguments, so the symbols are freed once their channel returns, and y
-    # once the stripe decoder has made its per-branch copies.
-    symbols = lambda: bits_to_symbols(bits, cfg.alphabet)
-    if decoder == "stripe":
-        channel = lambda s, noise, gen: _matched_channel(s, cfg, noise.sigma2, gen)
-        estimates = lambda: _stripe_batch(per_batch(channel, symbols()), cfg, params)
-    elif decoder == "ofdm":
-        estimates = lambda: ofdm(symbols())
-    else:  # ML's hard symbols are its estimates
-        samples = lambda: per_batch(add_awgn, modulate_interleaved(symbols(), cfg))
-        estimates = lambda: ml_decode(samples(), cfg)
+    symbols = bits_to_symbols(bits, cfg.alphabet)
+    if decoder == "ml":  # ML decodes M samples; its hard symbols are its estimates
+        samples = modulate_interleaved(symbols, cfg)
+        del symbols
+        for noise, gen, rows in parts:
+            samples[rows] = add_awgn(samples[rows], noise, gen)
+        estimates = ml_decode(samples, cfg)
+    else:
+        y = ws.take("y", symbols.shape, float if _is_real(cfg.alphabet) else complex)
+        channel = _ofdm_channel if decoder == "ofdm" else _matched_channel
+        for noise, gen, rows in parts:
+            channel(symbols[rows], cfg, noise.sigma2, gen, y[rows], ws)
+        del symbols
+        estimates = y if decoder == "ofdm" else _stripe_batch(y, cfg, params)
     if cfg.alphabet in (BPSK, QAM4):
-        decided = _sign_bits(estimates(), cfg.alphabet, ws)
+        decided = _sign_bits(estimates, cfg.alphabet, ws)
         wrong = np.not_equal(decided, bits, out=decided)
     else:
-        wrong = symbols_to_bits(slice_symbols(estimates(), cfg.alphabet), cfg.alphabet) != bits
+        wrong = symbols_to_bits(slice_symbols(estimates, cfg.alphabet), cfg.alphabet) != bits
     errors = np.add.reduceat(np.count_nonzero(wrong, axis=1), starts)
     return [(blocks * width, int(errs)) for (_, _, blocks), errs in zip(batches, errors)]
 

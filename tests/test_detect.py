@@ -665,6 +665,13 @@ class _NoDraws:
         raise AssertionError(f"the channel used the generator's {name}")
 
 
+def _channel_y(channel, symbols, cfg, sigma2, gen):
+    """One batch's y from `channel`, written into a fresh array through a
+    fresh workspace: the float Re y for a real alphabet, complex y otherwise."""
+    out = np.empty(symbols.shape, float if detect._is_real(cfg.alphabet) else complex)
+    return channel(symbols, cfg, sigma2, gen, out, _Workspace())
+
+
 class TestMatchedChannel:
     """detect._matched_channel: y = s G + (sigma n) C^H / M from the symbols,
     against the public chain of modulation, add_awgn and the matched filter."""
@@ -696,7 +703,7 @@ class TestMatchedChannel:
         channel_gen.integers(0, 2, size=(32, cfg.bits_per_block))
         want = self._chain(s, cfg, ebn0_db, chain_gen)
         sigma2 = NoiseSpec.from_config(ebn0_db, cfg).sigma2
-        got = detect._matched_channel(s, cfg, sigma2, channel_gen)
+        got = _channel_y(detect._matched_channel, s, cfg, sigma2, channel_gen)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-12
         assert np.array_equal(channel_gen.random(4), chain_gen.random(4))  # the same next draws
@@ -706,7 +713,7 @@ class TestMatchedChannel:
             cfg = SefdmConfig(16, 16, 4, 5, alphabet)
             s = bits_to_symbols(RandomSource(76).generator().integers(0, 2, size=(8, cfg.bits_per_block)),
                                 alphabet)
-            y = detect._matched_channel(s, cfg, 0.0, _NoDraws())
+            y = _channel_y(detect._matched_channel, s, cfg, 0.0, _NoDraws())
             want = self._chain(s, cfg, math.inf, RandomSource(0))  # add_awgn checks its rng
             assert np.max(np.abs(y - want)) <= 1e-12
 
@@ -716,8 +723,8 @@ class TestMatchedChannel:
         # E[y^H y] = sigma2 G / M with E[y^T y] = 0, and Re y has Re G sigma2 / 2M.
         cfg = SefdmConfig(16, 32, 4, 5, alphabet)
         blocks, sigma2 = 40_000, 3.0 * cfg.n_samples
-        y = detect._matched_channel(np.zeros((blocks, cfg.n_carriers), complex), cfg, sigma2,
-                                    RandomSource(77).generator())
+        y = _channel_y(detect._matched_channel, np.zeros((blocks, cfg.n_carriers), complex), cfg,
+                       sigma2, RandomSource(77).generator())
         gram = detect._matched_filter(cfg).gram
         tolerance = 5 * (sigma2 / cfg.n_samples) / math.sqrt(blocks)
         if alphabet == BPSK:
@@ -758,7 +765,8 @@ class TestOfdmChannel:
     @staticmethod
     def _chain(s, cfg, ebn0_db, gen):
         r = add_awgn(modulate_interleaved(s, cfg), NoiseSpec.from_config(ebn0_db, cfg), gen)
-        return detect._matched_outputs(r, cfg)[0]
+        y, _ = detect._matched_outputs(r, cfg)
+        return y.real if cfg.alphabet == BPSK else y
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -771,15 +779,15 @@ class TestOfdmChannel:
     @example(cfg=SefdmConfig(64, 64, 1, 1, QAM4), seed=81, ebn0_db=0.0)
     @example(cfg=SefdmConfig(4, 128, 1, 1, QAM4), seed=82, ebn0_db=8.0)
     def test_matches_the_sample_chain(self, cfg, seed, ebn0_db):
-        # The same complex y, within rounding, from the same draws, after
-        # which both generators are in the same state.
+        # The same y, within rounding, from the same draws, after which both
+        # generators are in the same state. A real alphabet gets Re y only.
         chain_gen, channel_gen = (RandomSource(seed).generator() for _ in range(2))
         s = bits_to_symbols(chain_gen.integers(0, 2, size=(32, cfg.bits_per_block)), cfg.alphabet)
         channel_gen.integers(0, 2, size=(32, cfg.bits_per_block))
         want = self._chain(s, cfg, ebn0_db, chain_gen)
         sigma2 = NoiseSpec.from_config(ebn0_db, cfg).sigma2
-        got = detect._ofdm_channel(s, cfg, sigma2, channel_gen)
-        assert got.dtype == want.dtype == complex and got.shape == want.shape
+        got = _channel_y(detect._ofdm_channel, s, cfg, sigma2, channel_gen)
+        assert got.dtype == want.dtype and got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-12
         assert np.array_equal(channel_gen.random(4), chain_gen.random(4))  # the same next draws
 
@@ -788,7 +796,7 @@ class TestOfdmChannel:
             cfg = SefdmConfig(64, 64, 1, 1, alphabet)
             s = bits_to_symbols(RandomSource(83).generator().integers(0, 2, size=(8, cfg.bits_per_block)),
                                 alphabet)
-            y = detect._ofdm_channel(s, cfg, 0.0, _NoDraws())
+            y = _channel_y(detect._ofdm_channel, s, cfg, 0.0, _NoDraws())
             want = self._chain(s, cfg, math.inf, RandomSource(0))  # add_awgn checks its rng
             assert np.max(np.abs(y - want)) <= 1e-12
             assert np.array_equal(y, s) and not np.shares_memory(y, s)
@@ -796,15 +804,21 @@ class TestOfdmChannel:
     @pytest.mark.parametrize("alphabet", [QAM4, BPSK])
     def test_noise_covariance_is_scaled_identity(self, alphabet):
         # Zero symbols leave the noise alone: at alpha = 1, G = I, so its
-        # covariance is E[y^H y] = sigma2 I / M with E[y^T y] = 0.
+        # covariance is E[y^H y] = sigma2 I / M with E[y^T y] = 0, and Re y
+        # has sigma2 I / 2M.
         cfg = SefdmConfig(16, 32, 1, 1, alphabet)
         blocks, sigma2 = 40_000, 3.0 * cfg.n_samples
-        y = detect._ofdm_channel(np.zeros((blocks, cfg.n_carriers), complex), cfg, sigma2,
-                                 RandomSource(84).generator())
+        y = _channel_y(detect._ofdm_channel, np.zeros((blocks, cfg.n_carriers), complex), cfg,
+                       sigma2, RandomSource(84).generator())
         tolerance = 5 * (sigma2 / cfg.n_samples) / math.sqrt(blocks)
-        covariance = y.conj().T @ y / blocks
-        assert np.max(np.abs(covariance - np.eye(cfg.n_carriers) * sigma2 / cfg.n_samples)) <= tolerance
-        assert np.max(np.abs(y.T @ y / blocks)) <= tolerance
+        identity = np.eye(cfg.n_carriers)
+        if alphabet == BPSK:
+            covariance = y.T @ y / blocks
+            assert np.max(np.abs(covariance - identity * sigma2 / (2 * cfg.n_samples))) <= tolerance
+        else:
+            covariance = y.conj().T @ y / blocks
+            assert np.max(np.abs(covariance - identity * sigma2 / cfg.n_samples)) <= tolerance
+            assert np.max(np.abs(y.T @ y / blocks)) <= tolerance
 
     @pytest.mark.parametrize("alphabet", [BPSK, QAM4], ids=["gate02-bpsk", "gate02-qam4"])
     def test_run_block_counts_as_the_public_chain(self, alphabet):
@@ -844,7 +858,7 @@ class TestAllocationFree:
         sigma2 = NoiseSpec.from_config(ebn0_db, cfg).sigma2
         for rows in (0, 1, 17, 256, 512):
             bits = gen.integers(0, 2, size=(rows, cfg.bits_per_block))
-            y = detect._matched_channel(bits_to_symbols(bits, alphabet), cfg, sigma2, gen)
+            y = _channel_y(detect._matched_channel, bits_to_symbols(bits, alphabet), cfg, sigma2, gen)
             for iterations in (1, 20):
                 params = StripeParams(iterations)
                 soft = detect._stripe_batch(y, cfg, params)
@@ -872,6 +886,36 @@ class TestRowIndependence:
         assert whole.dtype == pieces.dtype and whole.shape == pieces.shape
         assert whole.tobytes() == pieces.tobytes()
 
+    # Each stripe gate configuration and gate 02's: every channel writes its
+    # batch's rows of one stack-wide y.
+    @pytest.mark.parametrize("parts", PARTS)
+    @pytest.mark.parametrize("alphabet", [BPSK, QAM4], ids=["bpsk", "qam4"])
+    @pytest.mark.parametrize(
+        "channel, dims",
+        [(detect._matched_channel, (16, 256, 5, 6)), (detect._matched_channel, (16, 16, 5, 6)),
+         (detect._matched_channel, (16, 16, 4, 5)), (detect._matched_channel, (64, 64, 1, 2)),
+         (detect._ofdm_channel, (64, 64, 1, 1))],
+        ids=["n16-m256-5/6", "n16-m16-5/6", "n16-m16-4/5", "n64-m64-1/2", "ofdm-n64"],
+    )
+    def test_channel_rows(self, channel, dims, alphabet, parts):
+        # Batch by batch, each from its own generator, through one workspace
+        # that an earlier, larger batch has left full: the stacked y equals
+        # each batch's y on its own, and no row is left unwritten.
+        cfg = SefdmConfig(*dims, alphabet)
+        sigma2 = NoiseSpec.from_config(4.0, cfg).sigma2
+        bits = RandomSource(91).generator().integers(0, 2, size=(sum(parts), cfg.bits_per_block))
+        symbols = bits_to_symbols(bits, alphabet)
+        bounds = list(zip(np.cumsum((0,) + parts), np.cumsum(parts)))
+        whole, ws = np.empty(symbols.shape, float if alphabet == BPSK else complex), _Workspace()
+        channel(symbols, cfg, sigma2, RandomSource(92).generator(), whole, ws)
+        whole.fill(np.nan)
+        for i, (a, b) in enumerate(bounds):
+            channel(symbols[a:b], cfg, sigma2, RandomSource(93, i).generator(), whole[a:b], ws)
+        pieces = np.concatenate([_channel_y(channel, symbols[a:b], cfg, sigma2,
+                                            RandomSource(93, i).generator())
+                                 for i, (a, b) in enumerate(bounds)])
+        assert whole.dtype == pieces.dtype and whole.tobytes() == pieces.tobytes()
+
     # The stripe gate configurations, with both alphabets.
     @pytest.mark.parametrize("parts", PARTS)
     @pytest.mark.parametrize("alphabet", [BPSK, QAM4], ids=["bpsk", "qam4"])
@@ -882,7 +926,7 @@ class TestRowIndependence:
         gen = RandomSource(87).generator()
         bits = gen.integers(0, 2, size=(sum(parts), cfg.bits_per_block))
         symbols = bits_to_symbols(bits, alphabet)
-        y = detect._matched_channel(symbols, cfg, NoiseSpec.from_config(6.0, cfg).sigma2, gen)
+        y = _channel_y(detect._matched_channel, symbols, cfg, NoiseSpec.from_config(6.0, cfg).sigma2, gen)
         params = StripeParams()
         soft = detect._stripe_batch(y, cfg, params)
         decided = slice_symbols(soft, alphabet)
@@ -897,7 +941,7 @@ class TestRowIndependence:
         cfg = SefdmConfig(64, 64, 1, 1, alphabet)
         gen = RandomSource(88).generator()
         symbols = bits_to_symbols(gen.integers(0, 2, size=(sum(parts), cfg.bits_per_block)), alphabet)
-        y = detect._ofdm_channel(symbols, cfg, NoiseSpec.from_config(2.0, cfg).sigma2, gen)
+        y = _channel_y(detect._ofdm_channel, symbols, cfg, NoiseSpec.from_config(2.0, cfg).sigma2, gen)
         self._stacked_equals_parts(lambda x: slice_symbols(x, alphabet), y, parts)
 
     @pytest.mark.parametrize("parts", PARTS)

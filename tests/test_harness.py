@@ -90,6 +90,13 @@ class TestTheoreticalBer:
         with pytest.raises(DomainError):
             theoretical_ber(6.0, impostor)
 
+    @pytest.mark.parametrize("ebn0_db", [math.nan, -math.inf, True, False, "6", None, 6 + 0j])
+    def test_bad_ebn0_rejected(self, ebn0_db):
+        # The Eb/N0 rule of NoiseSpec.from_config. NaN used to give nan, -inf
+        # 0.5, and True read as 1 dB.
+        with pytest.raises(DomainError, match="Eb/N0"):
+            theoretical_ber(ebn0_db, QAM4)
+
     def test_inverse(self):
         for target in (1e-2, 1e-3, 1e-4):
             db = theory_ebn0_db(target)
@@ -131,6 +138,13 @@ class TestConfidenceInterval:
             confidence_interval(5, 0)
         with pytest.raises(DomainError):
             confidence_interval(11, 10)
+
+    @pytest.mark.parametrize("errors, bits", [(True, 10), (1.5, 10), (1, 10.0), (0, True),
+                                              (np.float64(2.0), 10)])
+    def test_counts_that_are_not_integers(self, errors, bits):
+        # (True, 10) and (1.5, 10) used to return intervals.
+        with pytest.raises(ValueError, match="must be an integer"):
+            confidence_interval(errors, bits)
 
 
 class TestRunBlock:
@@ -504,6 +518,23 @@ class TestLockstep:
         sent = 1024 * cfg.bits_per_block * np.dtype(np.int64).itemsize  # Generator.integers
         symbols = 1024 * cfg.n_carriers * np.dtype(complex).itemsize
         assert peak <= sent + symbols + 16 * 1024
+
+    def test_stripe_stack_draws_into_the_workspace(self):
+        # Once a workspace has served a stack, the next stack's channel draws
+        # and projects its noise, and writes y, in its buffers: the traced
+        # peak, the sent bits and the decoder's state, is too small to hold
+        # the (B, M) draw buffer.
+        cfg = SefdmConfig(16, 256, 5, 6, QAM4)
+        batches = [(NoiseSpec.from_config(4.0, cfg), RandomSource(13).generator(), 256)]
+        ws = _Workspace()
+        harness._run_stack(cfg, "stripe", StripeParams(), batches, ws)
+        tracemalloc.start()
+        try:
+            harness._run_stack(cfg, "stripe", StripeParams(), batches, ws)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * cfg.n_samples * np.dtype(float).itemsize
 
     def test_wall_time_is_the_points_share_of_their_stack(self):
         # Four equal points share one stack: equal shares that add up to no
