@@ -156,8 +156,7 @@ def theoretical_ber(ebn0_db: float, alphabet: Alphabet) -> float:
     """Matched-filter OFDM reference, Q(sqrt(2*Eb/N0)) = math.erfc(sqrt(Eb/N0)) / 2.
 
     Holds for BPSK and for Gray-coded 4-QAM (per-bit error equal at equal
-    Eb/N0); other alphabets, and a bool, non-real, NaN or -inf Eb/N0, are
-    rejected.
+    Eb/N0); other alphabets and a bool, non-real, NaN or -inf Eb/N0 raise.
     """
     if alphabet not in (BPSK, QAM4):
         raise DomainError(f"no closed-form reference for alphabet {alphabet.name!r}")
@@ -210,11 +209,10 @@ def run_block(
     Pipeline: random bits -> symbols -> interleaved modulation -> AWGN ->
     decode -> bits; deterministic given the rng stream. The stripe decoder
     and the OFDM baseline read y, which their channels write into a
-    workspace straight from the symbols and add_awgn's draws (see
-    sefdm.detect); ML decodes the M samples. `params` sets the stripe
-    decoder's iteration count. The decoder must pass the rules SweepSpec
-    checks: a known name, alpha = 1 for ofdm, the ML guard for ml. `blocks`
-    must be a positive integer.
+    workspace from the symbols and add_awgn's draws; ML decodes the M
+    samples. `params` sets the stripe decoder's iteration count. The
+    decoder must pass the rules SweepSpec checks: a known name, alpha = 1 for
+    ofdm, the ML guard for ml. `blocks` must be a positive integer.
     """
     _check_int("blocks", blocks)
     if blocks < 1:
@@ -249,11 +247,11 @@ def _run_stack(cfg: SefdmConfig, decoder: str, params: StripeParams, batches, ws
     bits = _stacked([gen.integers(0, 2, size=(blocks, width)) for _, gen, blocks in batches])
     symbols = bits_to_symbols(bits, cfg.alphabet)
     if decoder == "ml":  # ML decodes M samples; its hard symbols are its estimates
-        samples = modulate_interleaved(symbols, cfg)
+        sent = modulate_interleaved(symbols, cfg)
         del symbols
-        for noise, gen, rows in parts:
-            samples[rows] = add_awgn(samples[rows], noise, gen)
-        estimates = ml_decode(samples, cfg)
+        received = _stacked([add_awgn(sent[rows], noise, gen) for noise, gen, rows in parts])
+        del sent
+        estimates = ml_decode(received, cfg)
     else:
         y = ws.take("y", symbols.shape, float if _is_real(cfg.alphabet) else complex)
         channel = _ofdm_channel if decoder == "ofdm" else _matched_channel
