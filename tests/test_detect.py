@@ -926,7 +926,8 @@ class TestRowIndependence:
         gen = RandomSource(87).generator()
         bits = gen.integers(0, 2, size=(sum(parts), cfg.bits_per_block))
         symbols = bits_to_symbols(bits, alphabet)
-        y = _channel_y(detect._matched_channel, symbols, cfg, NoiseSpec.from_config(6.0, cfg).sigma2, gen)
+        sigma2 = NoiseSpec.from_config(6.0, cfg).sigma2
+        y = _channel_y(detect._matched_channel, symbols, cfg, sigma2, gen)
         params = StripeParams()
         soft = detect._stripe_batch(y, cfg, params)
         decided = slice_symbols(soft, alphabet)
@@ -941,7 +942,8 @@ class TestRowIndependence:
         cfg = SefdmConfig(64, 64, 1, 1, alphabet)
         gen = RandomSource(88).generator()
         symbols = bits_to_symbols(gen.integers(0, 2, size=(sum(parts), cfg.bits_per_block)), alphabet)
-        y = _channel_y(detect._ofdm_channel, symbols, cfg, NoiseSpec.from_config(2.0, cfg).sigma2, gen)
+        sigma2 = NoiseSpec.from_config(2.0, cfg).sigma2
+        y = _channel_y(detect._ofdm_channel, symbols, cfg, sigma2, gen)
         self._stacked_equals_parts(lambda x: slice_symbols(x, alphabet), y, parts)
 
     @pytest.mark.parametrize("parts", PARTS)
