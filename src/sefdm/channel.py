@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, SefdmConfig, _as_generator
+from .core import DomainError, SefdmConfig, _as_generator, _check_int
 
 
 def _check_ebn0(ebn0_db) -> None:
@@ -103,12 +103,23 @@ def _sinc(x):
     return np.pi * np.sinc(x)
 
 
-def interference_continuous(n: int, m: int, alpha: float) -> complex:
-    """Leakage of a unit symbol on carrier n onto carrier m for the
-    continuous-time signal."""
+def _check_interference_args(n, m, alpha) -> None:
+    """Distinct integer carriers n and m, and an alpha that is a finite real
+    other than a bool."""
+    _check_int("n", n)
+    _check_int("m", m)
     if n == m:
         raise DomainError("interference is defined for distinct carriers only")
-    x = (n - m) * alpha
+    if isinstance(alpha, bool) or not isinstance(alpha, numbers.Real) or not math.isfinite(alpha):
+        raise DomainError(f"alpha must be a finite real number, got {alpha!r}")
+
+
+def interference_continuous(n: int, m: int, alpha: float) -> complex:
+    """Leakage of a unit symbol on carrier n onto carrier m for the
+    continuous-time signal. The carriers must be distinct integers and
+    alpha a finite real (see `_check_interference_args`)."""
+    _check_interference_args(n, m, alpha)
+    x = (n - m) * float(alpha)
     return complex((_sinc(x) / np.pi) * np.exp(1j * np.pi * x))
 
 
@@ -123,12 +134,13 @@ def interference_discrete(n: int, m: int, alpha: float, n_samples: int) -> compl
     first order that residual is the relative deviation from the continuous
     weight. The magnitude is magnified by sin(pi x)/(M sin(pi x/M)), with
     x = (n-m)*alpha, and deviates from the continuous one only at second
-    order, by (pi x/M)^2/6.
+    order, by (pi x/M)^2/6. The inputs are checked as for
+    interference_continuous, and n_samples must be a positive integer.
     """
-    if n == m:
-        raise DomainError("interference is defined for distinct carriers only")
+    _check_interference_args(n, m, alpha)
+    _check_int("n_samples", n_samples)
     if n_samples < 1:
         raise DomainError("sample count must be positive")
-    x = (n - m) * alpha
+    x = (n - m) * float(alpha)
     magnified = _sinc(x) / _sinc(x / n_samples)
     return complex(magnified * np.exp(1j * np.pi * x * (n_samples - 1) / n_samples))

@@ -44,6 +44,8 @@ class Alphabet:
         n = len(self.points)
         if n < 2 or (n & (n - 1)) != 0:
             raise ValueError("alphabet size must be a power of two")
+        if not np.isfinite(np.asarray(self.points, dtype=complex)).all():
+            raise ValueError("alphabet points must be finite")
         if len(set(self.points)) != n:
             raise ValueError("alphabet points must be distinct")
         bps = n.bit_length() - 1
@@ -187,24 +189,46 @@ class _Workspace:
         return buffer[:size].reshape(shape)
 
 
-def _sign_bits(est: np.ndarray, alphabet: Alphabet, ws: _Workspace | None = None) -> np.ndarray:
-    """The labels of the nearest BPSK or QAM4 points to a (B, N) batch of
-    estimates, as a (B, N * bits_per_symbol) bool array from `ws`: the one
-    statement of the sign rule. A BPSK bit is Re < 0; a QAM4 symbol's bits
-    are (Im < 0, Re < 0), where a zero Re follows Im. So a tie goes to the
-    earlier point: 1 before -1, and 1+1j, -1+1j, -1-1j, 1-1j in ring order.
-    BPSK estimates may be real. Raises DomainError for non-finite estimates."""
+def _decide_bits(est: np.ndarray, alphabet: Alphabet, ws: _Workspace | None = None) -> np.ndarray:
+    """The labels of the nearest points to a (B, N) batch of estimates, as a
+    (B, N * bits_per_symbol) bool array from `ws`: the one hard decision of
+    every receiver. Estimates may be real. Raises DomainError for non-finite
+    estimates.
+
+    BPSK and QAM4 decide by signs, the nearest point in exact arithmetic. A
+    BPSK bit is Re < 0; a QAM4 symbol's bits are (Im < 0, Re < 0), where a
+    zero Re follows Im. So a tie goes to the earlier point: 1 before -1, and
+    1+1j, -1+1j, -1-1j, 1-1j in ring order. Every other alphabet compares
+    float distances, where argmin keeps the first minimum; these can tie
+    through rounding where exact distances do not (for QAM4 they would take
+    -1e-300 to 1+1j, where the nearest point is -1+1j), but do not overflow
+    for any finite estimate."""
     ws = ws or _Workspace()
     floats = est.view(float)
     if not np.isfinite(floats, out=ws.take("mask", floats.shape, bool)).all():
         raise DomainError("estimates must be finite")
-    bits = ws.take("decided", (len(est), est.shape[1] * alphabet.bits_per_symbol), bool)
+    bps = alphabet.bits_per_symbol
+    bits = ws.take("decided", (len(est), est.shape[1] * bps), bool)
     if alphabet == BPSK:
         return np.less(est.real, 0, out=bits)
-    first, second = bits[:, 0::2], bits[:, 1::2]
-    np.less(est.imag, 0, out=first)
-    np.less(est.real, 0, out=second)
-    np.copyto(second, first, where=np.equal(est.real, 0, out=ws.take("mask", est.shape, bool)))
+    if alphabet == QAM4:
+        first, second = bits[:, 0::2], bits[:, 1::2]
+        np.less(est.imag, 0, out=first)
+        np.less(est.real, 0, out=second)
+        np.copyto(second, first, where=np.equal(est.real, 0, out=ws.take("mask", est.shape, bool)))
+        return bits
+    points = alphabet.points_array()
+    # |e - p|^2 less the common |e|^2, |p|^2 - 2 Re(e conj p): e - p would
+    # round far points together (-1e200 - 3 == -1e200 + 3). Scaled by a power
+    # of two that brings the parts of a large e below 1: exact, and finite
+    # for every finite estimate.
+    _, exponent = np.frexp(np.maximum(abs(est.real), abs(est.imag)))
+    scale = np.ldexp(1.0, -np.maximum(exponent, 0))[..., None]
+    re, im = est.real[..., None] * scale, est.imag[..., None] * scale
+    metric = scale * (points.real**2 + points.imag**2)
+    metric -= 2 * (re * points.real + im * points.imag)
+    labels = np.asarray(alphabet.labels, dtype=bool)
+    np.take(labels, metric.argmin(axis=-1), axis=0, out=bits.reshape(est.shape + (bps,)))
     return bits
 
 
@@ -258,28 +282,19 @@ def _label_values(groups: np.ndarray) -> np.ndarray:
 def symbols_to_bits(symbols, alphabet: Alphabet) -> np.ndarray:
     """Map exact constellation symbols back to their bit labels.
 
-    BPSK and QAM4 check that each part is +-1 (Im = 0 for BPSK) and read the
-    labels off the signs (`_sign_bits`); other alphabets search their
-    points. Raises DomainError for values that are not alphabet points;
-    slice first.
+    Raises DomainError for values that are not alphabet points; slice first
+    (`detect.slice_symbols`), or decide straight to bits (`_decide_bits`).
     """
     symbols = np.asarray(symbols, dtype=complex)
-    if alphabet in (BPSK, QAM4):
-        flat = np.ascontiguousarray(symbols).reshape(1, -1)  # _sign_bits takes (B, N)
-        im = 1 if alphabet == QAM4 else 0
-        valid = ((np.abs(flat.real) == 1) & (np.abs(flat.imag) == im)).all()
-        labels = lambda: _sign_bits(flat, alphabet).astype(np.intp)
-    else:
-        # One comparison per point; the points are distinct, so each symbol
-        # matches at most one and the index sum picks it out.
-        index = np.zeros(symbols.shape, dtype=np.intp)
-        found = np.zeros(symbols.shape, dtype=bool)
-        for i, point in enumerate(alphabet.points):
-            match = symbols == point
-            found |= match
-            index += i * match
-        valid, labels = found.all(), lambda: np.asarray(alphabet.labels, dtype=np.intp)[index]
-    if not valid:
+    # One comparison per point; the points are distinct, so each symbol
+    # matches at most one and the index sum picks it out.
+    index = np.zeros(symbols.shape, dtype=np.intp)
+    found = np.zeros(symbols.shape, dtype=bool)
+    for i, point in enumerate(alphabet.points):
+        match = symbols == point
+        found |= match
+        index += i * match
+    if not found.all():
         raise DomainError("symbol vector contains values outside the alphabet")
     length = math.prod(symbols.shape[-1:]) * alphabet.bits_per_symbol
-    return labels().reshape(symbols.shape[:-1] + (length,))
+    return np.asarray(alphabet.labels, dtype=np.intp)[index].reshape(symbols.shape[:-1] + (length,))

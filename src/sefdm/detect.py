@@ -39,8 +39,8 @@ N reals: the weights are Re(-G[:, K]), the even rows and columns of the
 embedding, and y_K is Re y[:, k::c]. A complex alphabet needs equal real and
 imaginary ranges (DomainError otherwise). BPSK and QAM4 are pulled in closed
 form (`_pull_bpsk`, `_pull_qam4`), every other alphabet by the public
-`gravity`. The hard slicer decides BPSK and QAM4 by the sign rule of
-`core._sign_bits`, which the harness applies to every decoder's output.
+`gravity`. The hard slicer is `core._decide_bits`, the one hard decision
+for every alphabet, which the harness applies to every decoder's output.
 
 The ML decoder minimises s G s^H - 2 Re(y . conj(s)) over every candidate
 symbol vector, in one loop that builds, scores and drops one chunk of
@@ -66,7 +66,7 @@ from .core import (
     DomainError,
     SefdmConfig,
     _check_int,
-    _sign_bits,
+    _decide_bits,
     _Workspace,
     bits_to_symbols,
 )
@@ -178,34 +178,13 @@ def truncate(est, alphabet: Alphabet):
 
 
 def slice_symbols(est, alphabet: Alphabet):
-    """Hard decision to the nearest constellation point.
-
-    Ties break toward the lowest point index. BPSK and QAM4 decide by the
-    signs of the parts (`core._sign_bits`): the nearest point in exact
-    arithmetic. Every other alphabet compares float distances, where argmin
-    keeps the first minimum; these can tie through rounding where exact
-    distances do not (for QAM4 they would take -1e-300 to 1+1j, where the
-    nearest point is -1+1j), but do not overflow for any finite estimate.
-    Raises DomainError for non-finite estimates.
+    """Hard decision to the nearest constellation point: the points of the
+    labels that `core._decide_bits` decides, which states the tie and
+    overflow rules. Raises DomainError for non-finite estimates.
     """
     e = np.asarray(est, dtype=complex)
-    if not np.isfinite(e).all():
-        raise DomainError("estimates must be finite")
-    if alphabet in (BPSK, QAM4):
-        bits = _sign_bits(np.ascontiguousarray(e).reshape(1, -1), alphabet)
-        out = bits_to_symbols(bits, alphabet).reshape(e.shape)
-    else:
-        points = alphabet.points_array()
-        # |e - p|^2 less the common |e|^2, |p|^2 - 2 Re(e conj p): e - p
-        # would round far points together (-1e200 - 3 == -1e200 + 3). Scaled
-        # by a power of two that brings the parts of a large e below 1: exact,
-        # and finite for every finite estimate.
-        _, exponent = np.frexp(np.maximum(abs(e.real), abs(e.imag)))
-        scale = np.ldexp(1.0, -np.maximum(exponent, 0))[..., None]
-        re, im = e.real[..., None] * scale, e.imag[..., None] * scale
-        metric = scale * (points.real**2 + points.imag**2)
-        metric -= 2 * (re * points.real + im * points.imag)
-        out = points[metric.argmin(axis=-1)]
+    bits = _decide_bits(np.ascontiguousarray(e).reshape(1, -1), alphabet)
+    out = bits_to_symbols(bits, alphabet).reshape(e.shape)
     return complex(out) if np.isscalar(est) or e.ndim == 0 else out
 
 

@@ -37,11 +37,10 @@ from .core import (
     SefdmConfig,
     _as_generator,
     _check_int,
-    _sign_bits,
+    _decide_bits,
     _Workspace,
     bits_to_symbols,
     get_alphabet,
-    symbols_to_bits,
 )
 from .detect import (
     StripeParams,
@@ -51,9 +50,10 @@ from .detect import (
     _stripe_batch,
     check_ml_guard,
     ml_decode,
-    slice_symbols,
-    stripe_decode,  # not called here, but bench/spans.py wraps each layer name
 )
+# Not called here, but bench/spans.py wraps each layer name.
+from .core import symbols_to_bits
+from .detect import slice_symbols, stripe_decode
 from .txmod import modulate_interleaved
 
 DECODERS = ("stripe", "ml", "ofdm")
@@ -237,10 +237,10 @@ def _run_stack(cfg: SefdmConfig, decoder: str, params: StripeParams, batches, ws
     as it would alone, and its channel writes only its own rows. Bit
     mapping, the receiver and the bit decisions then take the stacked rows
     in one call each; bit errors are counted per row and summed per batch.
-    y, the channels' buffers and the BPSK and QAM4 bit decisions come from
-    `ws`; every other array of the stack is freed on return.
+    y, the channels' buffers and the bit decisions come from `ws`; every
+    other array of the stack is freed on return.
     """
-    width = cfg.n_carriers * cfg.alphabet.bits_per_symbol
+    width = cfg.bits_per_block
     starts = np.cumsum([0] + [blocks for _, _, blocks in batches[:-1]])
     parts = [(noise, gen, slice(start, start + blocks))
              for (noise, gen, blocks), start in zip(batches, starts)]
@@ -259,11 +259,8 @@ def _run_stack(cfg: SefdmConfig, decoder: str, params: StripeParams, batches, ws
             channel(symbols[rows], cfg, noise.sigma2, gen, y[rows], ws)
         del symbols
         estimates = y if decoder == "ofdm" else _stripe_batch(y, cfg, params)
-    if cfg.alphabet in (BPSK, QAM4):
-        decided = _sign_bits(estimates, cfg.alphabet, ws)
-        wrong = np.not_equal(decided, bits, out=decided)
-    else:
-        wrong = symbols_to_bits(slice_symbols(estimates, cfg.alphabet), cfg.alphabet) != bits
+    decided = _decide_bits(estimates, cfg.alphabet, ws)
+    wrong = np.not_equal(decided, bits, out=decided)
     errors = np.add.reduceat(np.count_nonzero(wrong, axis=1), starts)
     return [(blocks * width, int(errs)) for (_, _, blocks), errs in zip(batches, errors)]
 

@@ -17,7 +17,9 @@ def least_samples(n_car: int, alphas) -> int:
     return max([n_car] + [math.ceil(n_car / c) * b for b, c in alphas])
 
 
-# A complex alphabet without closed forms, with 3-bit Gray labels round the ring.
+# Alphabets without closed forms: a real one, Gray-labelled along the line,
+# and a complex one, with 3-bit Gray labels round the ring.
+PAM4 = Alphabet("pam4", (3 + 0j, 1 + 0j, -1 + 0j, -3 + 0j), ((0, 0), (0, 1), (1, 1), (1, 0)))
 _H = math.sqrt(0.5)
 PSK8 = Alphabet(
     "8psk",
@@ -61,11 +63,11 @@ def slicer_inputs(magnitudes=st.floats(min_value=0.0, allow_infinity=False)):
     )
 
 
-def estimate_batches(dtype=complex):
+def estimate_batches(dtype=complex, magnitudes=st.floats(min_value=0.0, allow_infinity=False)):
     """(B, N) batches of soft estimates with B, N in 1..6: complex ones drawn
-    as slicer_inputs, real ones as slicer_parts."""
-    return arrays(dtype, array_shapes(min_dims=2, max_dims=2, max_side=6),
-                  elements=slicer_inputs() if dtype is complex else slicer_parts())
+    as slicer_inputs, real ones as slicer_parts, of the given magnitudes."""
+    elements = slicer_inputs(magnitudes) if dtype is complex else slicer_parts(magnitudes)
+    return arrays(dtype, array_shapes(min_dims=2, max_dims=2, max_side=6), elements=elements)
 
 
 def generic_twin(alphabet: Alphabet) -> Alphabet:

@@ -210,6 +210,28 @@ class TestInterference:
         with pytest.raises(DomainError):
             interference_discrete(1, 0, 0.8, n_samples)
 
+    @pytest.mark.parametrize("n, m", [(1.0, 0), (True, 0), (1, False), (2, np.float64(1.0))])
+    def test_carriers_must_be_integers(self, n, m):
+        # True used to be read as carrier 1.
+        with pytest.raises(ValueError, match="must be an integer"):
+            interference_continuous(n, m, 0.5)
+        with pytest.raises(ValueError, match="must be an integer"):
+            interference_discrete(n, m, 0.5, 16)
+
+    @pytest.mark.parametrize("n_samples", [2.5, 16.0, True])
+    def test_sample_count_must_be_an_integer(self, n_samples):
+        # 2.5 used to return a value.
+        with pytest.raises(ValueError, match="must be an integer"):
+            interference_discrete(1, 0, 0.5, n_samples)
+
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf, True, 0.5j, "0.5", None])
+    def test_alpha_must_be_a_finite_real(self, alpha):
+        # A NaN alpha used to give nan+nanj.
+        with pytest.raises(DomainError, match="alpha"):
+            interference_continuous(1, 0, alpha)
+        with pytest.raises(DomainError, match="alpha"):
+            interference_discrete(1, 0, alpha, 16)
+
     def test_single_sample_has_no_rotation(self):
         # M=1: rotation factor exp(0) = 1 and the sinc ratio is unity
         assert interference_discrete(1, 0, 0.7, 1) == pytest.approx(1.0 + 0j)

@@ -66,6 +66,12 @@ class TestAlphabet:
         with pytest.raises(ValueError):
             Alphabet("bad", (1 + 0j, -1 + 0j), ((0,), (2,)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)], ids=["nan", "inf", "nan-imag"])
+    def test_rejects_points_that_are_not_finite(self, bad):
+        # A NaN point made the energy nan, and slice_symbols([0.9, -5.0]) [nan, nan].
+        with pytest.raises(ValueError, match="finite"):
+            Alphabet("bad", (1 + 0j, complex(bad)), ((0,), (1,)))
+
     @pytest.mark.parametrize(
         "labels",
         [((0,),), ((0,), (1,), (1,)), ((0, 0), (1,)), ((1,), (1,))],

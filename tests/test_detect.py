@@ -35,14 +35,11 @@ from sefdm import (
     truncate,
 )
 from sefdm import detect
-from sefdm.core import _sign_bits, _Workspace
-from strategies import PSK8, configs, estimate_batches, generic_twin, slicer_inputs
+from sefdm.core import _decide_bits, _Workspace
+# PAM4 and PSK8 have no closed forms, so they take the generic paths.
+from strategies import PAM4, PSK8, configs, estimate_batches, generic_twin, slicer_inputs
 
-
-# Alphabets without closed forms, for the generic paths: the real PAM4 and
-# the complex 8-PSK (PSK8, shared with tests/test_core.py).
-_PAM4 = Alphabet("pam4", (3 + 0j, 1 + 0j, -1 + 0j, -3 + 0j), ((0, 0), (0, 1), (1, 1), (1, 0)))
-_H = math.sqrt(0.5)
+_H = math.sqrt(0.5)  # PSK8's diagonal coordinate
 
 
 def _random_symbols(cfg, seed):
@@ -349,10 +346,10 @@ class TestSlice:
     @pytest.mark.parametrize(
         "alphabet, est, expected",
         [
-            (_PAM4, -1e200, -3 + 0j),
-            (_PAM4, np.finfo(float).max, 3 + 0j),
-            (_PAM4, complex(-np.finfo(float).max, np.finfo(float).max), -3 + 0j),
-            (_PAM4, complex(1e-300, -1e300), 1 + 0j),
+            (PAM4, -1e200, -3 + 0j),
+            (PAM4, np.finfo(float).max, 3 + 0j),
+            (PAM4, complex(-np.finfo(float).max, np.finfo(float).max), -3 + 0j),
+            (PAM4, complex(1e-300, -1e300), 1 + 0j),
             (PSK8, complex(-np.finfo(float).max, -np.finfo(float).max), -_H - _H * 1j),
             (PSK8, complex(1e300, -1e-300), 1 + 0j),
             (PSK8, complex(-1e-300, 1e300), 1j),
@@ -383,29 +380,34 @@ def _exact_labels(est, alphabet):
 
 
 class TestDecideBits:
-    """core._sign_bits, the sign rule behind the slicer, symbols_to_bits and
-    the harness's BPSK and QAM4 bit decisions: the labels of the exact
-    nearest points, signed zeros and ties included, from buffers that earlier
-    decisions have used."""
+    """core._decide_bits, the hard decision behind the slicer and the
+    harness's bit decisions: the labels of the exact nearest points, signed
+    zeros and ties included, from buffers that earlier decisions have used."""
 
-    CASES = [(BPSK, float), (BPSK, complex), (QAM4, complex)]  # stripe BPSK is real
+    CASES = [(BPSK, float), (BPSK, complex), (QAM4, complex),  # stripe BPSK is real
+             (PAM4, float), (PAM4, complex), (PSK8, complex)]
+    IDS = ["bpsk-real", "bpsk", "qam4", "pam4-real", "pam4", "8psk"]
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
-    @pytest.mark.parametrize("alphabet, dtype", CASES, ids=["bpsk-real", "bpsk", "qam4"])
+    @pytest.mark.parametrize("alphabet, dtype", CASES, ids=IDS)
     def test_bits_of_the_sliced_symbols(self, alphabet, dtype, data):
-        est = data.draw(estimate_batches(dtype))
+        # The sign rule is exact for any parts. Float distances order as
+        # exact ones for parts of +-0 or of magnitude in [1e-6, 1e3] (see
+        # test_closed_forms_agree_with_the_generic_slicer).
+        signs = alphabet in (BPSK, QAM4)
+        est = data.draw(estimate_batches(dtype) if signs else estimate_batches(dtype, st.floats(1e-6, 1e3)))
         ws = _Workspace()
-        _sign_bits(np.full_like(est, -1 - 1j if dtype is complex else -1.0), alphabet, ws)
-        got = _sign_bits(est, alphabet, ws)
+        _decide_bits(np.full_like(est, -1 - 1j if dtype is complex else -1.0), alphabet, ws)
+        got = _decide_bits(est, alphabet, ws)
         want = _exact_labels(est, alphabet)
         assert got.dtype == bool and got.shape == want.shape
         assert np.array_equal(got, want)
-        assert np.array_equal(_sign_bits(est, alphabet), want)  # a workspace of its own
+        assert np.array_equal(_decide_bits(est, alphabet), want)  # a workspace of its own
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data(), bad=st.sampled_from([np.nan, np.inf, -np.inf]))
-    @pytest.mark.parametrize("alphabet, dtype", CASES, ids=["bpsk-real", "bpsk", "qam4"])
+    @pytest.mark.parametrize("alphabet, dtype", CASES, ids=IDS)
     def test_non_finite_estimates_rejected(self, alphabet, dtype, data, bad):
         # One non-finite part anywhere, even an imaginary part BPSK ignores.
         est = data.draw(estimate_batches(dtype))
@@ -414,7 +416,7 @@ class TestDecideBits:
         with pytest.raises(DomainError):
             slice_symbols(est, alphabet)
         with pytest.raises(DomainError):
-            _sign_bits(est, alphabet, _Workspace())
+            _decide_bits(est, alphabet, _Workspace())
 
 
 class TestStripeDecode:
@@ -613,7 +615,7 @@ class TestMatchedFilterDomain:
         # BPSK and QAM4 have closed-form pulls; any other alphabet is pulled
         # by gravity, which must agree with the reference as well: the real
         # PAM4 on the decoder's N reals, and the complex 8-PSK.
-        for alphabet in (_PAM4, PSK8):
+        for alphabet in (PAM4, PSK8):
             cfg = SefdmConfig(10, 12, 5, 6, alphabet)
             gen = RandomSource(64).generator()
             s = bits_to_symbols(gen.integers(0, 2, size=(8, cfg.bits_per_block)), alphabet)
@@ -846,7 +848,7 @@ class TestAllocationFree:
     @pytest.mark.parametrize(
         "dims, alphabet",
         [((16, 256, 5, 6), QAM4), ((16, 16, 5, 6), QAM4), ((16, 16, 4, 5), QAM4),
-         ((64, 64, 1, 2), BPSK), ((10, 12, 5, 6), _PAM4), ((10, 12, 5, 6), PSK8)],
+         ((64, 64, 1, 2), BPSK), ((10, 12, 5, 6), PAM4), ((10, 12, 5, 6), PSK8)],
         ids=["n16-m256-5/6", "n16-m16-5/6", "n16-m16-4/5", "n64-m64-1/2", "pam4", "psk8"],
     )
     def test_bytes_equal_the_allocating_loop(self, dims, alphabet, ebn0_db):

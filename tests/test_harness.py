@@ -30,14 +30,28 @@ from sefdm import (
     ml_decode,
     modulate_interleaved,
     run_block,
+    slice_symbols,
     symbols_to_bits,
     theoretical_ber,
     theory_ebn0_db,
 )
 from sefdm import harness
 from sefdm.core import _Workspace
+from sefdm.detect import _is_real, _matched_channel, _ofdm_channel, _stripe_batch
 from sefdm.harness import BerRecord, SweepSpec, ber_sweep
-from strategies import ALPHAS, least_samples
+from strategies import ALPHAS, PAM4, PSK8, least_samples
+
+# Every alphabet the decoders' tails decide: the two with closed forms, the
+# real PAM4 and the complex 8-PSK.
+_ALPHABETS = pytest.mark.parametrize(
+    "alphabet", [BPSK, QAM4, PAM4, PSK8], ids=["bpsk", "qam4", "pam4", "8psk"])
+
+
+def _two_batches(cfg, ebn0s):
+    """Two 96-block batches at the two Eb/N0s, each with its own stream, and the streams' sources."""
+    noises = [NoiseSpec.from_config(ebn0_db, cfg) for ebn0_db in ebn0s]
+    sources = [RandomSource(64, i) for i in range(len(noises))]
+    return [(noise, source.generator(), 96) for noise, source in zip(noises, sources)], sources
 
 
 def _strip_wall(records):
@@ -204,20 +218,39 @@ class TestRunBlock:
         ber_sweep(spec)
         assert seen == [20, 3, 7]
 
-    @pytest.mark.parametrize("alphabet", [BPSK, QAM4], ids=["bpsk", "qam4"])
+    @_ALPHABETS
     def test_ml_counts_are_the_labels_of_its_symbols(self, alphabet):
-        # ML's tail decides its hard symbols by the sign rule: the counts are
-        # those of symbols_to_bits(ml_decode(r)), from the same streams.
+        # ML's tail decides its hard symbols by the slicer's rule: the counts
+        # are those of symbols_to_bits(ml_decode(r)), from the same streams.
         cfg = SefdmConfig(4, 16, 3, 4, alphabet)
-        noises = [NoiseSpec.from_config(ebn0_db, cfg) for ebn0_db in (0.0, 6.0)]
-        sources = [RandomSource(64, i) for i in range(len(noises))]
-        batches = [(noise, source.generator(), 96) for noise, source in zip(noises, sources)]
+        batches, sources = _two_batches(cfg, (0.0, 6.0))
         counts = harness._run_stack(cfg, "ml", StripeParams(), batches, _Workspace())
         for (noise, _, blocks), source, (sent, errors) in zip(batches, sources, counts):
             gen = source.generator()
             bits = gen.integers(0, 2, size=(blocks, cfg.bits_per_block))
             r = add_awgn(modulate_interleaved(bits_to_symbols(bits, alphabet), cfg), noise, gen)
             decided = symbols_to_bits(ml_decode(r, cfg), alphabet)
+            assert (sent, errors) == (bits.size, np.count_nonzero(decided != bits))
+        assert counts[0][1] > counts[1][1] > 0
+
+    @pytest.mark.parametrize("decoder, alpha", [("stripe", (3, 4)), ("ofdm", (1, 1))], ids=["stripe", "ofdm"])
+    @_ALPHABETS
+    def test_counts_are_the_labels_of_the_sliced_estimates(self, decoder, alpha, alphabet):
+        # The stripe and OFDM tails decide their soft estimates, the stripe
+        # decoder's or y itself: the counts are those of
+        # symbols_to_bits(slice_symbols(...)) of them, from the same streams.
+        cfg = SefdmConfig(4, 16, *alpha, alphabet)
+        batches, sources = _two_batches(cfg, (0.0, 3.0))  # at 6 dB, OFDM BPSK errs in none of 384 bits
+        counts = harness._run_stack(cfg, decoder, StripeParams(), batches, _Workspace())
+        channel = _matched_channel if decoder == "stripe" else _ofdm_channel
+        for (noise, _, blocks), source, (sent, errors) in zip(batches, sources, counts):
+            gen = source.generator()
+            bits = gen.integers(0, 2, size=(blocks, cfg.bits_per_block))
+            symbols = bits_to_symbols(bits, alphabet)
+            y = np.empty(symbols.shape, float if _is_real(alphabet) else complex)
+            channel(symbols, cfg, noise.sigma2, gen, y, _Workspace())
+            est = _stripe_batch(y, cfg, StripeParams()) if decoder == "stripe" else y
+            decided = symbols_to_bits(slice_symbols(est, alphabet), alphabet)
             assert (sent, errors) == (bits.size, np.count_nonzero(decided != bits))
         assert counts[0][1] > counts[1][1] > 0
 
