@@ -89,10 +89,11 @@ _ALPHABETS = {"bpsk": BPSK, "qam4": QAM4}
 
 
 def get_alphabet(name: str) -> Alphabet:
-    try:
-        return _ALPHABETS[name.lower()]
-    except KeyError:
-        raise DomainError(f"unknown alphabet {name!r}") from None
+    """The alphabet named `name`, in any case; DomainError for anything else."""
+    alphabet = _ALPHABETS.get(name.lower()) if isinstance(name, str) else None
+    if alphabet is None:
+        raise DomainError(f"unknown alphabet {name!r}")
+    return alphabet
 
 
 @dataclass(frozen=True)
@@ -104,7 +105,8 @@ class SefdmConfig:
     M need not be a multiple of c: branch k is the M-point inverse DFT of its
     spectrum times carrier k's samples, a pointwise multiply that needs no
     integer bin shift. The four dimensions must be integers (ValueError
-    otherwise; bool is not accepted).
+    otherwise; bool is not accepted), and the alphabet an Alphabet (ValueError
+    otherwise).
     """
 
     n_carriers: int
@@ -116,6 +118,8 @@ class SefdmConfig:
     def __post_init__(self):
         for name in ("n_carriers", "n_samples", "alpha_num", "alpha_den"):
             _check_int(name, getattr(self, name))
+        if not isinstance(self.alphabet, Alphabet):
+            raise ValueError(f"alphabet must be an Alphabet, got {self.alphabet!r}")
         if self.n_carriers < 1 or self.n_samples < 1:
             raise ValueError("carrier and sample counts must be positive")
         b, c = self.alpha_num, self.alpha_den
@@ -152,11 +156,19 @@ class RandomSource:
 
     Identical (seed, stream) pairs yield identical sequences; distinct streams
     are statistically independent (Philox counter-based generator), so Monte
-    Carlo points can run in parallel without coordination.
+    Carlo points can run in parallel without coordination. Both must be
+    non-negative integers (ValueError otherwise; bool is not accepted).
     """
 
     seed: int
     stream: int = 0
+
+    def __post_init__(self):
+        for name in ("seed", "stream"):
+            value = getattr(self, name)
+            _check_int(name, value)
+            if value < 0:
+                raise ValueError(f"{name} must be non-negative, got {value}")
 
     def generator(self) -> np.random.Generator:
         ss = np.random.SeedSequence(self.seed, spawn_key=(self.stream,))

@@ -22,7 +22,6 @@ import math
 import os
 import statistics
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -374,6 +373,9 @@ def ber_sweep(spec: SweepSpec, workers: int = 1) -> list[BerRecord]:
     workers = min(workers, count, _usable_cores())
     if workers <= 1:
         return _run_points(spec, range(count))
+    # Imported where a pool starts: it loads multiprocessing, logging and
+    # socket, which the package, its CLI and every serial sweep never use.
+    from concurrent.futures import ProcessPoolExecutor
     runs = [range(count * i // workers, count * (i + 1) // workers) for i in range(workers)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return [record for run in pool.map(functools.partial(_run_points, spec), runs)

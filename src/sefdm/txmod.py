@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import DimensionError, SefdmConfig
+from .core import DimensionError, DomainError, SefdmConfig
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -47,6 +47,8 @@ def _check_symbols(s, cfg: SefdmConfig) -> np.ndarray:
         raise DimensionError(
             f"expected {cfg.n_carriers} symbols on the last axis, got shape {s.shape}"
         )
+    if not np.isfinite(s).all():
+        raise DomainError("symbols must be finite")
     return s
 
 

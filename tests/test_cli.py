@@ -427,7 +427,8 @@ def test_overflowing_ebn0_is_a_usage_error_without_traceback(tmp_path):
 
 
 def test_runs_without_scipy(tmp_path):
-    """The package, its CLI and a sweep import nothing from scipy."""
+    """The package, its CLI and a sweep import nothing from scipy, and a
+    one-worker sweep loads none of the process-pool machinery."""
     code = """
 import sys
 sys.modules["scipy"] = None  # any import of scipy now raises ImportError
@@ -441,6 +442,8 @@ assert theory_ebn0_db(1e-3) > 0.0
 assert record.bits == 16 * 8
 assert sys.modules["scipy"] is None
 assert not [name for name in sys.modules if name.startswith("scipy.")]
+assert "multiprocessing" not in sys.modules
+assert "concurrent.futures.process" not in sys.modules
 """
     result = _run_python(["-c", code], cwd=tmp_path)
     assert result.returncode == 0, result.stderr

@@ -54,6 +54,12 @@ class TestAlphabet:
         with pytest.raises(DomainError):
             get_alphabet("qam16")
 
+    @pytest.mark.parametrize("name", [None, 3, b"qam4", QAM4])
+    def test_get_alphabet_rejects_non_strings(self, name):
+        # None and 3 used to raise AttributeError from name.lower().
+        with pytest.raises(DomainError):
+            get_alphabet(name)
+
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ValueError):
             Alphabet("bad", (1 + 0j, -1 + 0j, 1j), ((0,), (1,), (0,)))
@@ -215,6 +221,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             SefdmConfig(*dims, QAM4)
 
+    @pytest.mark.parametrize("alphabet", ["qam4", None, QAM4.points, 4])
+    def test_rejects_an_alphabet_that_is_not_an_alphabet(self, alphabet):
+        # "qam4" used to construct, and None failed only at bits_per_block.
+        with pytest.raises(ValueError, match="alphabet"):
+            SefdmConfig(4, 8, 1, 2, alphabet)
+
     def test_accepts_numpy_integers(self):
         cfg = SefdmConfig(np.int64(4), np.int32(8), np.uint8(1), np.int16(2), QAM4)
         assert cfg == SefdmConfig(4, 8, 1, 2, QAM4)
@@ -241,3 +253,24 @@ class TestRandomSource:
         a = RandomSource(1).generator().standard_normal(16)
         b = RandomSource(2).generator().standard_normal(16)
         assert not np.array_equal(a, b)
+
+    def test_accepts_numpy_integers(self):
+        a = RandomSource(np.int64(42), np.uint8(3)).generator().standard_normal(16)
+        assert np.array_equal(a, RandomSource(42, 3).generator().standard_normal(16))
+
+    @pytest.mark.parametrize(
+        "seed, stream",
+        [(True, 0), (1, True), (1.5, 0), (1, 2.0), ("1", 0), (None, 0), (np.float64(1), 0)],
+        ids=["bool-seed", "bool-stream", "float-seed", "float-stream", "str-seed", "none-seed",
+             "numpy-float-seed"],
+    )
+    def test_rejects_non_integers(self, seed, stream):
+        # True used to give the stream of 1; 1.5 failed only in .generator().
+        with pytest.raises(ValueError, match="must be an integer"):
+            RandomSource(seed, stream)
+
+    @pytest.mark.parametrize("seed, stream", [(-1, 0), (1, -2)])
+    def test_rejects_negatives(self, seed, stream):
+        # These used to fail only in .generator(), with numpy's own error.
+        with pytest.raises(ValueError, match="non-negative"):
+            RandomSource(seed, stream)

@@ -317,7 +317,8 @@ class TestBerSweep:
 
             map = staticmethod(map)
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", Recorder)
+        # ber_sweep imports the pool in its pooled branch, so it finds the stand-in there.
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", Recorder)
         monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(cores)))
         spec = self._small_spec(alphas=((1, 2),), ebn0_db=tuple(range(grid)), max_symbol_periods=8)
         records = ber_sweep(spec, workers=workers)

@@ -11,6 +11,7 @@ from sefdm import (
     BPSK,
     QAM4,
     DimensionError,
+    DomainError,
     RandomSource,
     SefdmConfig,
     bits_to_symbols,
@@ -279,3 +280,17 @@ class TestModulateInterleaved:
         mean_energy = np.mean(np.sum(np.abs(u) ** 2, axis=1))
         expected = cfg.n_carriers * cfg.n_samples * QAM4.energy
         assert abs(mean_energy - expected) <= 0.02 * expected
+
+
+@pytest.mark.parametrize("modulate", [modulate_direct, modulate_interleaved])
+@pytest.mark.parametrize(
+    "bad", [np.nan, np.inf, complex(1, -np.inf), complex(np.nan, 1)],
+    ids=["nan", "inf", "imag-inf", "real-nan"],
+)
+def test_symbols_that_are_not_finite_rejected(modulate, bad):
+    # modulate_interleaved used to return NaN samples, and modulate_direct
+    # raised numpy's RuntimeWarning for an inf symbol.
+    s = np.ones((2, 4), complex)
+    s[1, 2] = bad
+    with pytest.raises(DomainError, match="finite"):
+        modulate(s, SefdmConfig(4, 8, 1, 2, QAM4))
