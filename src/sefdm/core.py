@@ -22,10 +22,26 @@ class CapacityError(RuntimeError):
     """Requested search space exceeds the enumeration guard."""
 
 
-def _check_int(name: str, value) -> None:
-    """Accept Python and numpy integers; reject bool, floats and the rest."""
+def _check_int(name: str, value, least: int | None = None) -> None:
+    """Accept Python and numpy integers, no less than `least` where given;
+    reject bool, floats and the rest. ValueError otherwise."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        bound = "non-negative" if least == 0 else f"at least {least}"
+        raise ValueError(f"{name} must be {bound}, got {value}")
+
+
+def _complex_batch(values, length: int, what: str) -> np.ndarray:
+    """`values` as a complex array of `length` entries on its last axis, all
+    finite: DimensionError for another length or a 0-d input, DomainError
+    for a NaN or an infinity in either part."""
+    values = np.asarray(values, dtype=complex)
+    if values.shape[-1:] != (length,):
+        raise DimensionError(f"expected {length} {what} on the last axis, got shape {values.shape}")
+    if not np.isfinite(values).all():
+        raise DomainError(f"{what} must be finite")
+    return values
 
 
 @dataclass(frozen=True)
@@ -104,9 +120,7 @@ class SefdmConfig:
     spectrum, ceil(N/c)*b bins long, must fit in M (DimensionError otherwise).
     M need not be a multiple of c: branch k is the M-point inverse DFT of its
     spectrum times carrier k's samples, a pointwise multiply that needs no
-    integer bin shift. The four dimensions must be integers (ValueError
-    otherwise; bool is not accepted), and the alphabet an Alphabet (ValueError
-    otherwise).
+    integer bin shift.
     """
 
     n_carriers: int
@@ -117,13 +131,11 @@ class SefdmConfig:
 
     def __post_init__(self):
         for name in ("n_carriers", "n_samples", "alpha_num", "alpha_den"):
-            _check_int(name, getattr(self, name))
+            _check_int(name, getattr(self, name), 1)
         if not isinstance(self.alphabet, Alphabet):
             raise ValueError(f"alphabet must be an Alphabet, got {self.alphabet!r}")
-        if self.n_carriers < 1 or self.n_samples < 1:
-            raise ValueError("carrier and sample counts must be positive")
         b, c = self.alpha_num, self.alpha_den
-        if b < 1 or c < 1 or b > c:
+        if b > c:
             raise ValueError(f"alpha = {b}/{c} must satisfy 1 <= b <= c")
         if math.gcd(b, c) != 1:
             raise ValueError(f"alpha = {b}/{c} must be in lowest terms")
@@ -156,8 +168,7 @@ class RandomSource:
 
     Identical (seed, stream) pairs yield identical sequences; distinct streams
     are statistically independent (Philox counter-based generator), so Monte
-    Carlo points can run in parallel without coordination. Both must be
-    non-negative integers (ValueError otherwise; bool is not accepted).
+    Carlo points can run in parallel without coordination.
     """
 
     seed: int
@@ -165,10 +176,7 @@ class RandomSource:
 
     def __post_init__(self):
         for name in ("seed", "stream"):
-            value = getattr(self, name)
-            _check_int(name, value)
-            if value < 0:
-                raise ValueError(f"{name} must be non-negative, got {value}")
+            _check_int(name, getattr(self, name), 0)
 
     def generator(self) -> np.random.Generator:
         ss = np.random.SeedSequence(self.seed, spawn_key=(self.stream,))

@@ -62,10 +62,10 @@ from .core import (
     QAM4,
     Alphabet,
     CapacityError,
-    DimensionError,
     DomainError,
     SefdmConfig,
     _check_int,
+    _complex_batch,
     _decide_bits,
     _Workspace,
     bits_to_symbols,
@@ -97,9 +97,7 @@ class StripeParams:
     iterations: int = 20
 
     def __post_init__(self):
-        _check_int("iterations", self.iterations)
-        if self.iterations < 1:
-            raise ValueError("need at least one iteration")
+        _check_int("iterations", self.iterations, 1)
 
 
 def gravity(est, alphabet: Alphabet):
@@ -285,18 +283,9 @@ def _ofdm_channel(symbols: np.ndarray, cfg: SefdmConfig, sigma2: float, gen,
 
 def _matched_outputs(r, cfg: SefdmConfig) -> tuple[np.ndarray, tuple[int, ...]]:
     """(B, N) matched-filter outputs of a length-M vector or (..., M) batch,
-    and the batch shape.
-
-    Received samples enter every receiver here; wrong lengths and non-finite
-    samples are rejected.
-    """
-    r = np.asarray(r, dtype=complex)
-    m_samp = cfg.n_samples
-    if r.shape[-1:] != (m_samp,):
-        raise DimensionError(f"expected {m_samp} samples on the last axis, got shape {r.shape}")
-    if not np.isfinite(r).all():
-        raise DomainError("received samples must be finite")
-    return r.reshape(-1, m_samp) @ _matched_filter(cfg).matched, r.shape[:-1]
+    and the batch shape: where received samples enter every receiver."""
+    r = _complex_batch(r, cfg.n_samples, "samples")
+    return r.reshape(-1, cfg.n_samples) @ _matched_filter(cfg).matched, r.shape[:-1]
 
 
 def stripe_decode_soft(r, cfg: SefdmConfig, params: StripeParams = StripeParams()) -> np.ndarray:
@@ -304,6 +293,8 @@ def stripe_decode_soft(r, cfg: SefdmConfig, params: StripeParams = StripeParams(
 
     Accepts a length-M vector or a (..., M) batch; returns (..., N).
     """
+    if not isinstance(params, StripeParams):
+        raise ValueError(f"params must be a StripeParams, got {params!r}")
     y, batch = _matched_outputs(r, cfg)
     soft = _stripe_batch(y, cfg, params).astype(complex, copy=False)
     return soft.reshape(batch + (cfg.n_carriers,))

@@ -106,16 +106,16 @@ class SweepSpec:
     def __post_init__(self):
         # carriers, samples and the alpha parts are checked by SefdmConfig
         # below, iterations by StripeParams.
-        for name in ("min_bit_errors", "max_symbol_periods", "seed"):
-            _check_int(name, getattr(self, name))
-        if self.min_bit_errors < 1 or self.max_symbol_periods < 1:
-            raise ValueError("stop rule must be positive")
-        if not self.alphas or not self.ebn0_db:
-            raise ValueError("the alpha and Eb/N0 grids must not be empty")
-        if len(set(self.alphas)) < len(self.alphas) or len(set(self.ebn0_db)) < len(self.ebn0_db):
-            raise ValueError("the alpha and Eb/N0 grids must not repeat a point")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        _check_int("min_bit_errors", self.min_bit_errors, 1)
+        _check_int("max_symbol_periods", self.max_symbol_periods, 1)
+        _check_int("seed", self.seed, 0)
+        for alpha in self.alphas:
+            if not isinstance(alpha, (tuple, list)) or len(alpha) != 2:
+                raise ValueError(f"alpha {alpha!r} is not a pair (b, c)")
+        # Tuples of the given entries, so that the spec hashes; each entry
+        # keeps its type for the checks below, which refuse a bool.
+        object.__setattr__(self, "alphas", tuple(tuple(alpha) for alpha in self.alphas))
+        object.__setattr__(self, "ebn0_db", tuple(self.ebn0_db))
         # StripeParams and NoiseSpec are built here for their input checks only.
         StripeParams(self.iterations)
         for b, c in self.alphas:
@@ -123,6 +123,10 @@ class SweepSpec:
             _check_decoder(self.decoder, cfg)
             for ebn0 in self.ebn0_db:
                 NoiseSpec.from_config(ebn0, cfg)
+        if not self.alphas or not self.ebn0_db:
+            raise ValueError("the alpha and Eb/N0 grids must not be empty")
+        if len(set(self.alphas)) < len(self.alphas) or len(set(self.ebn0_db)) < len(self.ebn0_db):
+            raise ValueError("the alpha and Eb/N0 grids must not repeat a point")
 
     def config(self, alpha_num: int, alpha_den: int) -> SefdmConfig:
         return SefdmConfig(
@@ -211,11 +215,11 @@ def run_block(
     workspace from the symbols and add_awgn's draws; ML decodes the M
     samples. `params` sets the stripe decoder's iteration count. The
     decoder must pass the rules SweepSpec checks: a known name, alpha = 1 for
-    ofdm, the ML guard for ml. `blocks` must be a positive integer.
+    ofdm, the ML guard for ml.
     """
-    _check_int("blocks", blocks)
-    if blocks < 1:
-        raise ValueError(f"blocks must be positive, got {blocks}")
+    _check_int("blocks", blocks, 1)
+    if not isinstance(params, StripeParams):
+        raise ValueError(f"params must be a StripeParams, got {params!r}")
     _check_decoder(decoder, cfg)
     noise = NoiseSpec.from_config(ebn0_db, cfg)
     batch = (noise, _as_generator(rng), blocks)
@@ -364,11 +368,8 @@ def ber_sweep(spec: SweepSpec, workers: int = 1) -> list[BerRecord]:
     the grid's point count and the usable cores; with a cap of one the
     points run serially in this process. With w workers the grid is split
     into w contiguous runs of points, each run in lockstep by one worker.
-    `workers` must be a positive integer.
     """
-    _check_int("workers", workers)
-    if workers < 1:
-        raise ValueError(f"workers must be positive, got {workers}")
+    _check_int("workers", workers, 1)
     count = len(spec.alphas) * len(spec.ebn0_db)
     workers = min(workers, count, _usable_cores())
     if workers <= 1:

@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import DimensionError, DomainError, SefdmConfig
+from .core import SefdmConfig, _complex_batch
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -41,23 +41,12 @@ def carrier_matrix(cfg: SefdmConfig) -> np.ndarray:
     return _read_only(np.exp(2j * np.pi * n * m * b / (c * cfg.n_samples)))
 
 
-def _check_symbols(s, cfg: SefdmConfig) -> np.ndarray:
-    s = np.asarray(s, dtype=complex)
-    if s.shape[-1:] != (cfg.n_carriers,):
-        raise DimensionError(
-            f"expected {cfg.n_carriers} symbols on the last axis, got shape {s.shape}"
-        )
-    if not np.isfinite(s).all():
-        raise DomainError("symbols must be finite")
-    return s
-
-
 def modulate_direct(s, cfg: SefdmConfig) -> np.ndarray:
     """U_m = sum_k S_k exp(2*pi*i*k*m*b/(c*M)), via the carrier matrix.
 
     Accepts a length-N vector or a (..., N) batch.
     """
-    s = _check_symbols(s, cfg)
+    s = _complex_batch(s, cfg.n_carriers, "symbols")
     return s @ carrier_matrix(cfg)
 
 
@@ -66,7 +55,7 @@ def modulate_interleaved(s, cfg: SefdmConfig) -> np.ndarray:
 
     Accepts a length-N vector or a (..., N) batch.
     """
-    s = _check_symbols(s, cfg)
+    s = _complex_batch(s, cfg.n_carriers, "symbols")
     flat = s.reshape(-1, cfg.n_carriers)
     rows = carrier_matrix(cfg)
     b, c = cfg.alpha_num, cfg.alpha_den

@@ -474,6 +474,14 @@ class TestStripeDecode:
             with pytest.raises(DomainError):
                 stripe_decode_soft(np.stack([r, r]), cfg)
 
+    @pytest.mark.parametrize("params", [None, 20, StripeParams], ids=["none", "int", "class"])
+    def test_params_that_are_not_stripe_params_rejected(self, params):
+        # None and 20 used to fail deep in the decoder; the class itself ran.
+        r = np.zeros((2, 12), complex)
+        for decode in (stripe_decode, stripe_decode_soft):
+            with pytest.raises(ValueError, match="StripeParams"):
+                decode(r, SefdmConfig(12, 12, 5, 6, QAM4), params)
+
     def test_iteration_count_validated(self):
         for bad in (0, True, 2.5, 20.0, "20"):
             with pytest.raises(ValueError):
@@ -970,9 +978,15 @@ class TestRowIndependence:
         lambda cfg: modulate_interleaved(1 + 1j, cfg),
         lambda cfg: modulate_direct(1 + 1j, cfg),
         lambda cfg: bits_to_symbols(1, BPSK),
+        # A wrong last axis: N symbols where M samples belong, and back.
+        lambda cfg: stripe_decode(np.zeros((2, 4)), cfg),
+        lambda cfg: stripe_decode_soft(np.zeros(4), cfg),
+        lambda cfg: ml_decode(np.zeros((3, 4)), cfg),
+        lambda cfg: modulate_interleaved(np.zeros((2, 8)), cfg),
     ],
     ids=["stripe_decode", "stripe_decode_soft", "ml_decode", "modulate_interleaved",
-         "modulate_direct", "bits_to_symbols"],
+         "modulate_direct", "bits_to_symbols", "stripe_decode-wrong-axis",
+         "stripe_decode_soft-wrong-axis", "ml_decode-wrong-axis", "modulate_interleaved-wrong-axis"],
 )
 def test_zero_d_input_is_a_dimension_error(call):
     # A scalar has no last axis to check; it used to raise IndexError.

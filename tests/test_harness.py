@@ -199,6 +199,13 @@ class TestRunBlock:
         with pytest.raises(ValueError, match="blocks"):
             run_block(cfg, 4.0, "ofdm", RandomSource(0), blocks=blocks)
 
+    @pytest.mark.parametrize("params", [20, None, StripeParams], ids=["int", "none", "class"])
+    def test_params_that_are_not_stripe_params_rejected(self, params):
+        # 20 and None used to fail deep in the decoder; the class itself ran.
+        cfg = SefdmConfig(8, 8, 1, 2, QAM4)
+        with pytest.raises(ValueError, match="StripeParams"):
+            run_block(cfg, 4.0, "stripe", RandomSource(0), blocks=4, params=params)
+
     def test_iteration_count_reaches_decoder(self, monkeypatch):
         seen = []
         decode = harness._stripe_batch
@@ -366,15 +373,37 @@ class TestBerSweep:
             {"ebn0_db": (True,)}, {"ebn0_db": (4.0, False)}, {"ebn0_db": ("4",)},
             {"ebn0_db": (4 + 0j,)},
             {"min_bit_errors": 0}, {"max_symbol_periods": 0}, {"max_symbol_periods": -5},
+            # Any sequence of Eb/N0 points keeps its entries, so a bool is still refused.
+            {"ebn0_db": [True]}, {"ebn0_db": np.array([True])}, {"ebn0_db": np.array([[0.0, 2.0]])},
         ],
         ids=["no-alpha", "no-ebn0", "negative-seed", "repeated-alpha", "repeated-ebn0", "signed-zero",
              "bool-iterations", "float-iterations", "float-periods", "float-errors", "float-seed",
              "float-carriers", "bool-samples", "float-alpha-part", "bool-ebn0", "bool-second-ebn0",
-             "str-ebn0", "complex-ebn0", "zero-errors", "zero-periods", "negative-periods"],
+             "str-ebn0", "complex-ebn0", "zero-errors", "zero-periods", "negative-periods",
+             "bool-ebn0-list", "bool-ebn0-array", "two-axis-ebn0-array"],
     )
     def test_empty_grid_and_negative_seed_rejected(self, change):
         with pytest.raises(ValueError):
             self._small_spec(**change)
+
+    @pytest.mark.parametrize("alphas", [(1, 2), ((1, 2, 3),), ((1, 2), 3), ("12",)],
+                             ids=["flat", "triple", "scalar", "string"])
+    def test_alpha_that_is_not_a_pair_rejected(self, alphas):
+        # These used to fail in tuple unpacking, or read "12" as the pair ("1", "2").
+        with pytest.raises(ValueError, match=r"alpha .+ is not a pair"):
+            self._small_spec(alphas=alphas)
+
+    @pytest.mark.parametrize("alphas, ebn0_db", [([(1, 2), [1, 1]], [2.0, 4.0]),
+                                                 (((1, 2), (1, 1)), np.array([2.0, 4.0]))],
+                             ids=["lists", "array"])
+    def test_grids_are_stored_as_tuples(self, alphas, ebn0_db):
+        # A spec built from lists could not be hashed, and an array of Eb/N0
+        # points failed on numpy's ambiguous truth value.
+        spec = self._small_spec(alphas=alphas, ebn0_db=ebn0_db, max_symbol_periods=16)
+        tuples = self._small_spec(alphas=((1, 2), (1, 1)), ebn0_db=(2.0, 4.0), max_symbol_periods=16)
+        assert spec.alphas == ((1, 2), (1, 1)) and type(spec.ebn0_db) is tuple
+        assert spec == tuples and hash(spec) == hash(tuples)
+        assert _strip_wall(ber_sweep(spec)) == _strip_wall(ber_sweep(tuples))
 
     def test_iterations_validated_at_spec_construction(self):
         with pytest.raises(ValueError):

@@ -282,10 +282,19 @@ class TestModulateInterleaved:
         assert abs(mean_energy - expected) <= 0.02 * expected
 
 
-@pytest.mark.parametrize("modulate", [modulate_direct, modulate_interleaved])
+@pytest.mark.parametrize("modulate", [
+    modulate_direct, modulate_interleaved,
+    # The receivers share the transmitters' entry check; each takes the
+    # symbols twice over as its M = 8 samples.
+    pytest.param(lambda s, cfg: detect.stripe_decode(np.hstack([s, s]), cfg), id="stripe_decode"),
+    pytest.param(lambda s, cfg: detect.stripe_decode_soft(np.hstack([s, s]), cfg),
+                 id="stripe_decode_soft"),
+    pytest.param(lambda s, cfg: detect.ml_decode(np.hstack([s, s]), cfg), id="ml_decode"),
+])
 @pytest.mark.parametrize(
-    "bad", [np.nan, np.inf, complex(1, -np.inf), complex(np.nan, 1)],
-    ids=["nan", "inf", "imag-inf", "real-nan"],
+    "bad", [np.nan, np.inf, complex(1, -np.inf), complex(np.nan, 1),
+            complex(1, np.nan), complex(-np.inf, 1), complex(1, np.inf)],
+    ids=["nan", "inf", "imag-inf", "real-nan", "imag-nan", "real-minus-inf", "imag-plus-inf"],
 )
 def test_symbols_that_are_not_finite_rejected(modulate, bad):
     # modulate_interleaved used to return NaN samples, and modulate_direct
